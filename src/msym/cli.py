@@ -1,9 +1,9 @@
 """Command-line surface: Betti sums, real-locus tables, equality checks.
 
 Exit codes: 0 on success (all verdicts/tolerances met), 1 on any failed
-verification, 2 on bad arguments or malformed input files.  Output is
-byte-deterministic for fixed flags and seed; sweep rows are sorted by (g, n)
-before emission, so the MSYM_THREADS parallelism cap never changes bytes.
+verification, 2 on bad arguments (including a sweep grid with no (g, n)
+pair) or malformed input files.  Output is byte-deterministic for fixed flags
+and seed; sweep rows come out sorted by (g, n).
 """
 
 from __future__ import annotations
@@ -11,22 +11,10 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 
 from . import fibration, genfun, mcheck, realmodels
 from .homology import CWFormatError, ChainComplexF2, betti, euler_char
-
-
-def _thread_cap() -> int | None:
-    raw = os.environ.get("MSYM_THREADS")
-    if not raw:
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        return None
-    return value if value >= 1 else None
 
 
 def _print_table(columns, rows, fmt, file):
@@ -73,7 +61,7 @@ def _cmd_real_betti(args) -> int:
     else:
         dec = realmodels.real_sym3_decomposition(args.g)
     pieces = dec.betti_by_piece()
-    total = dec.total_betti_sum()
+    total = sum(mult * sum(b) for _, mult, b in pieces)
     columns = ["piece", "multiplicity", "betti", "piece_sum", "subtotal"]
     rows = []
     for name, mult, b in pieces:
@@ -97,7 +85,12 @@ def _cmd_check_m(args) -> int:
         if args.gmax is None or args.nmax is None:
             print("error: --sweep requires --gmax and --nmax", file=sys.stderr)
             return 2
-        reports = mcheck.sweep(args.gmax, args.nmax, max_workers=_thread_cap())
+        for flag, value, low in (("--gmax", args.gmax, 0), ("--nmax", args.nmax, 2)):
+            if value < low:
+                print(f"error: {flag} {value} leaves the sweep empty; it must be >= {low}",
+                      file=sys.stderr)
+                return 2
+        reports = mcheck.sweep(args.gmax, args.nmax)
     else:
         if args.g is None or args.n is None:
             print("error: provide --g and --n, or --sweep", file=sys.stderr)

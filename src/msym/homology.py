@@ -9,6 +9,12 @@ value of :class:`ChainComplexF2` in circulation is a valid chain complex.
 Betti numbers are computed by Gaussian elimination over GF(2) on bit-packed
 boundary matrices: one arbitrary-precision Python integer per matrix row,
 eliminated with word-level XOR.
+
+Larger complexes are built with :func:`product` and :func:`glue`.
+``glue(a, attachments)`` attaches a whole sequence of
+``(la, b, lb, match, prefix)`` attachments to the base complex a: it checks
+each match against a and validates the result once, so attaching g pieces
+in one call costs time linear in the size of the result.
 """
 
 from __future__ import annotations
@@ -392,25 +398,17 @@ def product(a: ChainComplexF2, b: ChainComplexF2) -> ChainComplexF2:
     return ChainComplexF2(cells, bnd, labs)
 
 
-def glue(
-    a: ChainComplexF2,
-    la: str,
-    b: ChainComplexF2,
-    lb: str,
-    match: Mapping[str, str],
-    prefix: str = "glued",
-) -> ChainComplexF2:
-    """Pushout of b onto a along a chain isomorphism of labeled subcomplexes.
+Attachment = tuple[str, ChainComplexF2, str, Mapping[str, str], str]
 
-    ``match`` sends each cell of b's label ``lb`` to a cell of a's label
-    ``la``; it must be a dimension- and boundary-preserving bijection, or
-    :class:`InterfaceMismatch` is raised.  Cells of a keep their identifiers,
-    the remaining cells of b get a ``prefix:`` namespace, and b's labels other
-    than ``lb`` survive under the same namespace.
-    """
-    if la not in a.labels:
+
+def _checked_match(
+    a: ChainComplexF2, la: str, b: ChainComplexF2, lb: str, match: Mapping[str, str]
+) -> dict[str, str]:
+    """``match`` as a str dict, after checking that it is a chain isomorphism
+    from b's label ``lb`` onto a's label ``la``."""
+    if la not in a._labels:
         raise InterfaceMismatch(f'no label "{la}" on the base complex')
-    if lb not in b.labels:
+    if lb not in b._labels:
         raise InterfaceMismatch(f'no label "{lb}" on the attached complex')
     la_cells = a.label(la)
     lb_cells = b.label(lb)
@@ -429,38 +427,54 @@ def glue(
                 raise InterfaceMismatch(
                     f'match does not commute with the boundary at cell "{src}"'
                 )
+    return match
 
-    def translate(cid: str) -> str:
-        if cid in match:
-            return match[cid]
-        return f"{prefix}:{cid}"
 
-    cells: dict[int, list[str]] = {}
-    bnd: dict[str, list[str]] = {}
-    for d in range(a.dim + 1):
-        cells.setdefault(d, []).extend(a.cells_of(d))
-        if d >= 1:
-            for cid in a.cells_of(d):
-                bnd[cid] = list(a.boundary_of(cid))
-    existing = {cid for _, cid in a.all_cells()}
-    for d in range(b.dim + 1):
-        for cid in b.cells_of(d):
-            if cid in lb_cells:
+def glue(a: ChainComplexF2, attachments: Iterable[Attachment]) -> ChainComplexF2:
+    """Pushout of several complexes onto a, each along a chain isomorphism of
+    labeled subcomplexes.
+
+    Each attachment is a tuple ``(la, b, lb, match, prefix)``: ``match`` sends
+    each cell of b's label ``lb`` to a cell of a's label ``la``; it must be a
+    dimension- and boundary-preserving bijection, or :class:`InterfaceMismatch`
+    naming ``prefix`` is raised.  Every match is checked against the base a,
+    so an attachment cannot glue onto cells that another attachment brings.
+    Cells of a keep their identifiers, the remaining cells of b get a
+    ``prefix:`` namespace, and b's labels other than ``lb`` survive under the
+    same namespace.  New cells follow a's cells in attachment order, and the
+    result is validated once, whatever the number of attachments.
+    """
+    cells: dict[int, list[str]] = {d: list(a.cells_of(d)) for d in range(a.dim + 1)}
+    bnd: dict[str, Iterable[str]] = dict(a._boundary)
+    labs: dict[str, Iterable[str]] = dict(a._labels)
+    existing = set(a._dims)
+    for la, b, lb, match, prefix in attachments:
+        try:
+            match = _checked_match(a, la, b, lb, match)
+        except InterfaceMismatch as exc:
+            raise InterfaceMismatch(f'attachment "{prefix}": {exc}') from None
+        new_id = dict(match)
+        for d in range(b.dim + 1):
+            for cid in b.cells_of(d):
+                if cid in match:
+                    continue
+                new = new_id[cid] = f"{prefix}:{cid}"
+                if new in existing:
+                    raise ValueError(
+                        f'attachment "{prefix}": cell id collision "{new}"; pick a different prefix'
+                    )
+                existing.add(new)
+                cells.setdefault(d, []).append(new)
+                if d >= 1:
+                    bnd[new] = [new_id[f] for f in b.boundary_of(cid)]
+        for name, members in b._labels.items():
+            if name == lb:
                 continue
-            new = translate(cid)
-            if new in existing:
-                raise ValueError(f'cell id collision "{new}"; pick a different prefix')
-            existing.add(new)
-            cells.setdefault(d, []).append(new)
-            if d >= 1:
-                bnd[new] = [translate(f) for f in b.boundary_of(cid)]
-
-    labs: dict[str, list[str]] = {name: list(members) for name, members in a.labels.items()}
-    for name, members in b.labels.items():
-        if name == lb:
-            continue
-        new_name = f"{prefix}:{name}"
-        if new_name in labs:
-            raise ValueError(f'label name collision "{new_name}"; pick a different prefix')
-        labs[new_name] = [translate(cid) for cid in members]
+            new_name = f"{prefix}:{name}"
+            if new_name in labs:
+                raise ValueError(
+                    f'attachment "{prefix}": label name collision "{new_name}"; '
+                    "pick a different prefix"
+                )
+            labs[new_name] = [new_id[cid] for cid in members]
     return ChainComplexF2(cells, bnd, labs)

@@ -10,7 +10,6 @@ cross-asserted before any verdict is produced: redundancy is the product.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import comb
 
@@ -179,23 +178,7 @@ def check(g: int, n: int, decomposition: RealLocusDecomposition | None = None) -
     )
 
 
-def sweep(
-    g_max: int,
-    n_max: int,
-    *,
-    n_min: int = 2,
-    max_workers: int | None = None,
-) -> list[MVarietyReport]:
-    """Run :func:`check` over the grid g in [0, g_max], n in [n_min, n_max].
-
-    Pairs are independent, so they may be checked in parallel; results are
-    sorted by (g, n) so the worker count never affects the output.
-    """
-    grid = [(g, n) for g in range(g_max + 1) for n in range(n_min, n_max + 1)]
-    if max_workers is not None and max_workers <= 1:
-        reports = [check(g, n) for g, n in grid]
-    else:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            reports = list(pool.map(lambda gn: check(*gn), grid))
-    reports.sort(key=lambda r: (r.g, r.n))
-    return reports
+def sweep(g_max: int, n_max: int, *, n_min: int = 2) -> list[MVarietyReport]:
+    """Run :func:`check` over the grid g in [0, g_max], n in [n_min, n_max],
+    returning the reports sorted by (g, n)."""
+    return [check(g, n) for g in range(g_max + 1) for n in range(n_min, n_max + 1)]

@@ -128,18 +128,14 @@ def build_Y(g: int) -> ChainComplexF2:
     second symmetric product; Betti vector (1, g+1, 1).
     """
     surf = build_half_surface(g)
-    out = surf.complex
-    for i, lab in enumerate(surf.boundary_labels):
-        band = build_sym2_circle()
-        out = glue(
-            out,
-            lab,
-            band,
-            "diagonal",
-            {"bd_v": f"v{i}", "bd_e": f"r{i}"},
-            prefix=f"band{i + 1}",
-        )
-    return out
+    band = build_sym2_circle()
+    return glue(
+        surf.complex,
+        [
+            (lab, band, "diagonal", {"bd_v": f"v{i}", "bd_e": f"r{i}"}, f"band{i + 1}")
+            for i, lab in enumerate(surf.boundary_labels)
+        ],
+    )
 
 
 def build_B(g: int, *, glue_sym3: bool = True) -> ChainComplexF2:
@@ -157,21 +153,21 @@ def build_B(g: int, *, glue_sym3: bool = True) -> ChainComplexF2:
     """
     g = _check_genus(g)
     surf = build_half_surface(g)
-    out = product(circle(), surf.complex)
-    for j in range(1, g + 1):
-        tube = product(circle(), build_sym2_circle())
-        match = {
-            "v*bd_v": f"v*v{j}",
-            "e*bd_v": f"e*v{j}",
-            "v*bd_e": f"v*r{j}",
-            "e*bd_e": f"e*r{j}",
-        }
-        out = glue(out, f"C{j + 1}", tube, "diagonal", match, prefix=f"tube{j + 1}")
+    tube = product(circle(), build_sym2_circle())
+    attachments = [
+        (
+            f"C{j + 1}",
+            tube,
+            "diagonal",
+            {"v*bd_v": f"v*v{j}", "e*bd_v": f"e*v{j}", "v*bd_e": f"v*r{j}", "e*bd_e": f"e*r{j}"},
+            f"tube{j + 1}",
+        )
+        for j in range(1, g + 1)
+    ]
     if glue_sym3:
-        cap = build_sym3_circle()
         match = {"pt": "v*v0", "mer": "v*r0", "lon": "e*v0", "tor": "e*r0"}
-        out = glue(out, "C1", cap, "torus", match, prefix="cap")
-    return out
+        attachments.append(("C1", build_sym3_circle(), "torus", match, "cap"))
+    return glue(product(circle(), surf.complex), attachments)
 
 
 def real_sym2_decomposition(g: int) -> RealLocusDecomposition:

@@ -73,19 +73,40 @@ def three_torus() -> ChainComplexF2:
 
 def sphere() -> ChainComplexF2:
     cap = disc()
-    return glue(cap, "boundary", disc(), "boundary", {"v": "v", "e": "e"}, prefix="cap")
+    return glue(cap, [("boundary", disc(), "boundary", {"v": "v", "e": "e"}, "cap")])
 
 
 def klein_bottle() -> ChainComplexF2:
     band = build_sym2_circle()
     return glue(
         band,
-        "diagonal",
-        build_sym2_circle(),
-        "diagonal",
-        {"bd_v": "bd_v", "bd_e": "bd_e"},
-        prefix="other",
+        [("diagonal", build_sym2_circle(), "diagonal", {"bd_v": "bd_v", "bd_e": "bd_e"}, "other")],
     )
+
+
+def chained_Y(g: int) -> ChainComplexF2:
+    """Reference for ``build_Y``: one single-attachment glue per Möbius band,
+    each validating the whole complex built so far."""
+    surf = build_half_surface(g)
+    out = surf.complex
+    for i, lab in enumerate(surf.boundary_labels):
+        match = {"bd_v": f"v{i}", "bd_e": f"r{i}"}
+        out = glue(out, [(lab, build_sym2_circle(), "diagonal", match, f"band{i + 1}")])
+    return out
+
+
+def chained_B(g: int, *, glue_sym3: bool = True) -> ChainComplexF2:
+    """Reference for ``build_B``: one single-attachment glue per tube, then
+    one for the solid-torus cap."""
+    out = product(circle(), build_half_surface(g).complex)
+    for j in range(1, g + 1):
+        tube = product(circle(), build_sym2_circle())
+        match = {"v*bd_v": f"v*v{j}", "e*bd_v": f"e*v{j}", "v*bd_e": f"v*r{j}", "e*bd_e": f"e*r{j}"}
+        out = glue(out, [(f"C{j + 1}", tube, "diagonal", match, f"tube{j + 1}")])
+    if glue_sym3:
+        match = {"pt": "v*v0", "mer": "v*r0", "lon": "e*v0", "tor": "e*r0"}
+        out = glue(out, [("C1", build_sym3_circle(), "torus", match, "cap")])
+    return out
 
 
 @pytest.fixture(scope="session")

@@ -57,7 +57,7 @@ def test_criterion_1_closed_form_agreement():
 def test_criterion_2_sym2_equality_from_matrix_rank():
     t0 = time.perf_counter()
     failures = []
-    for g in range(7):
+    for g in range(65):
         total = real_sym2_decomposition(g).total_betti_sum()  # runs matrix ranks
         if total != 3 + 3 * g + 2 * g * g:
             failures.append((g, total))
@@ -70,7 +70,7 @@ def test_criterion_2_sym2_equality_from_matrix_rank():
 def test_criterion_3_sym3_equality_from_matrix_rank():
     t0 = time.perf_counter()
     failures = []
-    for g in range(1, 5):
+    for g in range(1, 65):
         total = real_sym3_decomposition(g).total_betti_sum()
         if total != closed_form_sym3(g):
             failures.append((g, total))
@@ -87,7 +87,7 @@ def test_criterion_3_sym3_equality_from_matrix_rank():
 def test_criterion_4_block_structure():
     t0 = time.perf_counter()
     ok = True
-    for g in range(1, 5):
+    for g in range(1, 65):
         b = betti(build_B(g))
         closed = b == tuple(reversed(b)) and b[0] == b[-1] == 1
         partial_b1 = betti(build_B(g, glue_sym3=False))[1]
@@ -179,9 +179,9 @@ def test_criterion_7_homology_oracles():
 def test_criterion_8_smith_inequality_everywhere():
     t0 = time.perf_counter()
     reports = []
-    for g in range(7):
+    for g in range(65):
         reports.append(check(g, 2))
-    for g in range(1, 5):
+    for g in range(1, 65):
         reports.append(check(g, 3))
     for g in range(9):
         for n in range(max(0, 2 * g - 1), 2 * g + 7):

@@ -29,17 +29,21 @@ def test_check_m_open_range_warns_but_exits_zero(capsys):
     assert "open range" in err
 
 
-def test_check_m_sweep_exit_code_and_determinism(capsys, monkeypatch):
+def test_check_m_sweep_exit_code_and_determinism(capsys):
     argv = ["check-m", "--sweep", "--gmax", "2", "--nmax", "5", "--format", "csv"]
     code1, out1, _ = run(capsys, argv)
     code2, out2, _ = run(capsys, argv)
     assert code1 == code2 == 0
     assert out1 == out2
-    monkeypatch.setenv("MSYM_THREADS", "1")
-    _, out3, _ = run(capsys, argv)
-    monkeypatch.setenv("MSYM_THREADS", "3")
-    _, out4, _ = run(capsys, argv)
-    assert out1 == out3 == out4
+
+
+@pytest.mark.parametrize("gmax,nmax,bad", [("-1", "3", "--gmax -1"), ("3", "1", "--nmax 1"),
+                                            ("0", "-5", "--nmax -5")])
+def test_check_m_empty_sweep_is_rejected(capsys, gmax, nmax, bad):
+    code, out, err = run(capsys, ["check-m", "--sweep", "--gmax", gmax, "--nmax", nmax])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and bad in err
 
 
 def test_check_m_requires_arguments(capsys):

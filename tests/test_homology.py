@@ -161,11 +161,7 @@ def test_glue_mobius_caps_on_annulus_make_a_klein_bottle():
     for i, lab in enumerate(("C1", "C2")):
         out = glue(
             out,
-            lab,
-            build_sym2_circle(),
-            "diagonal",
-            {"bd_v": f"v{i}", "bd_e": f"r{i}"},
-            prefix=f"cap{i}",
+            [(lab, build_sym2_circle(), "diagonal", {"bd_v": f"v{i}", "bd_e": f"r{i}"}, f"cap{i}")],
         )
     assert betti(out) == (1, 2, 1)
     assert euler_char(out) == 0
@@ -175,7 +171,7 @@ def test_glue_mobius_caps_on_annulus_make_a_klein_bottle():
 def test_glue_euler_characteristic_formula():
     a = disc()
     b = build_sym2_circle()
-    out = glue(a, "boundary", b, "diagonal", {"bd_v": "v", "bd_e": "e"}, prefix="band")
+    out = glue(a, [("boundary", b, "diagonal", {"bd_v": "v", "bd_e": "e"}, "band")])
     interface_chi = 0  # the shared circle
     assert euler_char(out) == euler_char(a) + euler_char(b) - interface_chi
     assert betti(out) == (1, 1, 1)
@@ -184,15 +180,15 @@ def test_glue_euler_characteristic_formula():
 def test_glue_rejects_bad_interfaces():
     a, b = disc(), build_sym2_circle()
     with pytest.raises(InterfaceMismatch):
-        glue(a, "nope", b, "diagonal", {"bd_v": "v", "bd_e": "e"})
+        glue(a, [("nope", b, "diagonal", {"bd_v": "v", "bd_e": "e"}, "glued")])
     with pytest.raises(InterfaceMismatch):
-        glue(a, "boundary", b, "nope", {"bd_v": "v", "bd_e": "e"})
+        glue(a, [("boundary", b, "nope", {"bd_v": "v", "bd_e": "e"}, "glued")])
     with pytest.raises(InterfaceMismatch):  # not covering the label
-        glue(a, "boundary", b, "diagonal", {"bd_v": "v"})
+        glue(a, [("boundary", b, "diagonal", {"bd_v": "v"}, "glued")])
     with pytest.raises(InterfaceMismatch):  # dimension swap
-        glue(a, "boundary", b, "diagonal", {"bd_v": "e", "bd_e": "v"})
+        glue(a, [("boundary", b, "diagonal", {"bd_v": "e", "bd_e": "v"}, "glued")])
     with pytest.raises(InterfaceMismatch):  # not injective
-        glue(a, "boundary", b, "diagonal", {"bd_v": "v", "bd_e": "v"})
+        glue(a, [("boundary", b, "diagonal", {"bd_v": "v", "bd_e": "v"}, "glued")])
 
 
 def test_glue_rejects_non_chain_map():
@@ -208,12 +204,27 @@ def test_glue_rejects_non_chain_map():
         {"rim": ["y0", "y1", "e0", "e1"]},
     )
     with pytest.raises(InterfaceMismatch, match="commute"):
-        glue(a, "rim", b, "rim", {"y0": "x0", "y1": "x1", "e0": "d0", "e1": "d1"})
+        glue(a, [("rim", b, "rim", {"y0": "x0", "y1": "x1", "e0": "d0", "e1": "d1"}, "glued")])
+
+
+def test_glue_names_the_failing_attachment():
+    base = build_half_surface(2).complex
+    band = build_sym2_circle()
+    attachments = [
+        ("C1", band, "diagonal", {"bd_v": "v0", "bd_e": "r0"}, "band1"),
+        ("C2", band, "diagonal", {"bd_v": "r1", "bd_e": "v1"}, "band2"),  # dimension swap
+        ("C3", band, "diagonal", {"bd_v": "v2", "bd_e": "r2"}, "band3"),
+    ]
+    with pytest.raises(InterfaceMismatch, match='attachment "band2": .*different dimension'):
+        glue(base, attachments)
+    attachments[1] = ("C2", band, "diagonal", {"bd_v": "v1", "bd_e": "r1"}, "band1")
+    with pytest.raises(ValueError, match='attachment "band1": cell id collision'):
+        glue(base, attachments)
 
 
 def test_glue_keeps_base_ids_and_namespaces_attached_side():
-    out = glue(disc(), "boundary", build_sym2_circle(), "diagonal",
-               {"bd_v": "v", "bd_e": "e"}, prefix="band")
+    out = glue(disc(), [("boundary", build_sym2_circle(), "diagonal",
+                         {"bd_v": "v", "bd_e": "e"}, "band")])
     ids = {cid for _, cid in out.all_cells()}
     assert {"v", "e", "f"} <= ids
     assert "band:core_v" in ids and "band:sheet" in ids
@@ -311,11 +322,7 @@ def test_alternative_cellulations():
     assert betti(wide_mobius()) == (1, 1, 0)
     fat_klein = glue(
         wide_mobius(),
-        "rim",
-        wide_mobius(),
-        "rim",
-        {"u": "u", "w": "w", "top": "top", "bot": "bot"},
-        prefix="other",
+        [("rim", wide_mobius(), "rim", {"u": "u", "w": "w", "top": "top", "bot": "bot"}, "other")],
     )
     assert betti(fat_klein) == (1, 2, 1)
 

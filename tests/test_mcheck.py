@@ -97,13 +97,11 @@ def test_smith_inequality_holds_across_sweep():
             assert rep.real_sum <= rep.complex_sum
 
 
-def test_sweep_is_sorted_and_thread_count_does_not_matter():
-    serial = sweep(3, 5, max_workers=1)
-    threaded = sweep(3, 5, max_workers=4)
-    assert serial == threaded
-    keys = [(r.g, r.n) for r in serial]
+def test_sweep_is_sorted():
+    reports = sweep(3, 5)
+    keys = [(r.g, r.n) for r in reports]
     assert keys == sorted(keys)
-    assert len(serial) == 4 * 4  # g in 0..3, n in 2..5
+    assert len(reports) == 4 * 4  # g in 0..3, n in 2..5
 
 
 def test_report_serialization():

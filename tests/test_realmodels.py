@@ -5,8 +5,10 @@ from __future__ import annotations
 from math import comb
 
 import pytest
+from conftest import chained_B, chained_Y
 
 from msym import (
+    ChainComplexF2,
     RealLocusDecomposition,
     betti,
     build_B,
@@ -202,3 +204,27 @@ def test_betti_by_piece_reports_vectors():
     by_piece = dict((name, (mult, b)) for name, mult, b in dec.betti_by_piece())
     assert by_piece["Y"] == (1, (1, 2, 1))
     assert by_piece["torus"] == (1, (1, 2, 1))
+
+
+# --- one-pass gluing -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("g", [0, 1, 2, 5, 17])
+def test_models_match_chained_single_attachment_glue(g):
+    assert build_Y(g).to_json() == chained_Y(g).to_json()
+    assert build_B(g).to_json() == chained_B(g).to_json()
+    assert build_B(g, glue_sym3=False).to_json() == chained_B(g, glue_sym3=False).to_json()
+
+
+def test_curated_models_pass_the_full_validator():
+    models = [build_sym2_circle(), build_sym3_circle()]
+    for g in range(65):
+        models += [
+            build_half_surface(g).complex,
+            build_Y(g),
+            build_B(g),
+            build_B(g, glue_sym3=False),
+        ]
+    for m in models:
+        text = m.to_json()
+        assert ChainComplexF2.from_json(text).to_json() == text
