@@ -2,8 +2,11 @@
 
 Exit codes: 0 on success (all verdicts/tolerances met), 1 on any failed
 verification, 2 on bad arguments (including a sweep grid with no (g, n)
-pair) or malformed input files.  Output is byte-deterministic for fixed flags
-and seed; sweep rows come out sorted by (g, n).
+pair) or malformed input files, and 141 (128 + SIGPIPE, what a shell
+reports for a process killed by a closed pipe) with no traceback when the
+reader of stdout closes it before all output is written.  Output is
+byte-deterministic for fixed flags and seed; sweep rows come out sorted by
+(g, n).
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 
 from . import fibration, genfun, mcheck, realmodels
@@ -42,12 +46,12 @@ def _emit(columns, rows, json_obj, fmt, file=None):
 
 
 def _cmd_betti_sym(args) -> int:
-    poly = genfun.poincare_sym(args.g, args.n)
     total = genfun.betti_sum_sym(args.g, args.n)
     columns = ["g", "n", "betti_sum"]
     row = [args.g, args.n, total]
     obj = {"g": args.g, "n": args.n, "betti_sum": total}
     if args.poly:
+        poly = genfun.poincare_sym(args.g, args.n)
         columns.append("poincare")
         row.append(str(poly))
         obj["poincare"] = list(poly.coeffs)
@@ -61,7 +65,7 @@ def _cmd_real_betti(args) -> int:
     else:
         dec = realmodels.real_sym3_decomposition(args.g)
     pieces = dec.betti_by_piece()
-    total = sum(mult * sum(b) for _, mult, b in pieces)
+    total = realmodels.betti_total(pieces)
     columns = ["piece", "multiplicity", "betti", "piece_sum", "subtotal"]
     rows = []
     for name, mult, b in pieces:
@@ -173,7 +177,7 @@ def _cmd_export_model(args) -> int:
         print(f"error: model {args.name} requires --g", file=sys.stderr)
         return 2
     if args.name == "half":
-        cw = realmodels.build_half_surface(args.g).complex
+        cw = realmodels.build_half_surface(args.g)
     elif args.name == "Y":
         cw = realmodels.build_Y(args.g)
     elif args.name == "B":
@@ -251,7 +255,14 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout early (``msym ... | head``).  Point stdout
+        # at devnull so the interpreter's flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except CWFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

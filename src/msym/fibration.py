@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Callable, Iterable
 
 ROUNDTRIP_TOL = 1e-9
 FIBER_TOL = 1e-12
@@ -269,6 +269,17 @@ def _rational_angles(max_denominator: int) -> Iterable[Fraction]:
                 yield a
 
 
+def _diagonal_curve_hits(on_curve: Callable[[SymTriple], bool], max_denominator: int):
+    """Distinct points of the diagonal-direction curve that satisfy
+    ``on_curve``, searched over rational angles, sorted by their angles."""
+    found: dict[tuple, SymTriple] = {}
+    for a in _rational_angles(max_denominator):
+        tr = diagonal_curve_point(a)
+        if on_curve(tr):
+            found.setdefault(tr.angles(), tr)
+    return tuple(found[k] for k in sorted(found))
+
+
 def enumerate_diagonal_section_intersections(max_denominator: int = 24) -> tuple[SymTriple, ...]:
     """All intersection points of the diagonal-direction curve with the
     section curve, by exhaustive search over rational angles.
@@ -276,12 +287,7 @@ def enumerate_diagonal_section_intersections(max_denominator: int = 24) -> tuple
     Any solution satisfies a congruence q*a = 0 (mod 1) with q <= 3, so its
     denominator is at most 3; the search bound leaves a wide margin.
     """
-    found: dict[tuple, SymTriple] = {}
-    for a in _rational_angles(max_denominator):
-        tr = diagonal_curve_point(a)
-        if on_section_curve(tr):
-            found.setdefault(tr.angles(), tr)
-    return tuple(found[k] for k in sorted(found))
+    return _diagonal_curve_hits(on_section_curve, max_denominator)
 
 
 def enumerate_diagonal_fiber_boundary_intersections(
@@ -289,12 +295,7 @@ def enumerate_diagonal_fiber_boundary_intersections(
 ) -> tuple[SymTriple, ...]:
     """All intersection points of the diagonal-direction curve with the
     fiber-boundary curve, by exhaustive search over rational angles."""
-    found: dict[tuple, SymTriple] = {}
-    for a in _rational_angles(max_denominator):
-        tr = diagonal_curve_point(a)
-        if on_fiber_boundary_curve(tr):
-            found.setdefault(tr.angles(), tr)
-    return tuple(found[k] for k in sorted(found))
+    return _diagonal_curve_hits(on_fiber_boundary_curve, max_denominator)
 
 
 # --- randomized property suite ------------------------------------------------

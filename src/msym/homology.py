@@ -20,7 +20,7 @@ in one call costs time linear in the size of the result.
 from __future__ import annotations
 
 import json
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 BettiVector = tuple[int, ...]
 
@@ -35,6 +35,12 @@ class InterfaceMismatch(ValueError):
 
 class CWFormatError(ValueError):
     """Malformed CW-complex JSON input."""
+
+
+# Highest cell dimension accepted from JSON.  Work and output grow with the
+# top dimension, not with the number of cells, so it is bounded; the curated
+# models reach dimension 3.
+MAX_CELL_DIM = 64
 
 
 class BitMatrixF2(object):
@@ -75,19 +81,6 @@ class BitMatrixF2(object):
                     break
                 row ^= reducer
         return rank
-
-    def transpose(self) -> "BitMatrixF2":
-        cols = [0] * self.ncols
-        for i, row in enumerate(self.rows):
-            bit = 1 << i
-            while row:
-                j = (row & -row).bit_length() - 1
-                cols[j] |= bit
-                row &= row - 1
-        return BitMatrixF2(cols, len(self.rows))
-
-    def with_extra_row(self, row: int) -> "BitMatrixF2":
-        return BitMatrixF2(self.rows + (int(row),), self.ncols)
 
 
 class ChainComplexF2(object):
@@ -235,11 +228,20 @@ class ChainComplexF2(object):
             raise CWFormatError('"cells" must be an object mapping dimension to id list')
         cells: dict[int, list[str]] = {}
         for dim_key, ids in cells_obj.items():
-            if not isinstance(dim_key, str) or not dim_key.isdigit():
+            if not isinstance(dim_key, str) or not (dim_key.isascii() and dim_key.isdigit()):
                 raise CWFormatError(f'cell dimension key "{dim_key}" is not a nonnegative integer')
+            digits = dim_key.lstrip("0") or "0"
+            # the length test keeps int() away from strings of thousands of digits
+            if len(digits) > len(str(MAX_CELL_DIM)) or int(digits) > MAX_CELL_DIM:
+                raise CWFormatError(
+                    f'cell dimension key "{dim_key}" is above the maximum dimension {MAX_CELL_DIM}'
+                )
+            dim = int(digits)
+            if dim in cells:
+                raise CWFormatError(f'cell dimension key "{dim_key}" repeats dimension {dim}')
             if not isinstance(ids, list) or not all(isinstance(i, str) for i in ids):
                 raise CWFormatError(f'cell list for dimension {dim_key} must be a list of strings')
-            cells[int(dim_key)] = ids
+            cells[dim] = ids
         boundary_obj = obj.get("boundary", {})
         if not isinstance(boundary_obj, dict):
             raise CWFormatError('"boundary" must be an object mapping cell id to face list')
@@ -313,7 +315,7 @@ def is_nullhomologous(c: ChainComplexF2, dim: int, chain: Iterable[str]) -> bool
     for cid in members:
         vec |= 1 << index[cid]
     mat = boundary_matrix(c, dim + 1)
-    return mat.with_extra_row(vec).rank() == mat.rank()
+    return BitMatrixF2(mat.rows + (vec,), mat.ncols).rank() == mat.rank()
 
 
 def label_subcomplex(c: ChainComplexF2, name: str) -> ChainComplexF2:
@@ -327,44 +329,6 @@ def label_subcomplex(c: ChainComplexF2, name: str) -> ChainComplexF2:
             if d >= 1:
                 bnd[cid] = c.boundary_of(cid)
     return ChainComplexF2(cells, bnd)
-
-
-def without_labels(c: ChainComplexF2) -> ChainComplexF2:
-    """The same complex with every label removed (useful before products of
-    a model with itself, where label names would collide)."""
-    cells = {d: c.cells_of(d) for d in range(c.dim + 1)}
-    bnd = {cid: c.boundary_of(cid) for d in range(1, c.dim + 1) for cid in c.cells_of(d)}
-    return ChainComplexF2(cells, bnd)
-
-
-def rename_cells(c: ChainComplexF2, fn: Callable[[str], str]) -> ChainComplexF2:
-    """Apply an injective renaming to every cell identifier."""
-    new_id = {cid: str(fn(cid)) for _, cid in c.all_cells()}
-    if len(set(new_id.values())) != len(new_id):
-        raise ValueError("renaming is not injective")
-    cells = {d: [new_id[cid] for cid in c.cells_of(d)] for d in range(c.dim + 1)}
-    bnd = {}
-    for d in range(1, c.dim + 1):
-        for cid in c.cells_of(d):
-            bnd[new_id[cid]] = [new_id[f] for f in c.boundary_of(cid)]
-    labs = {name: [new_id[cid] for cid in members] for name, members in c.labels.items()}
-    return ChainComplexF2(cells, bnd, labs)
-
-
-def disjoint_union(a: ChainComplexF2, b: ChainComplexF2) -> ChainComplexF2:
-    """Disjoint union; cells and labels of the two sides get u0:/u1: prefixes."""
-    cells: dict[int, list[str]] = {}
-    bnd: dict[str, list[str]] = {}
-    labs: dict[str, list[str]] = {}
-    for prefix, side in (("u0", a), ("u1", b)):
-        for d in range(side.dim + 1):
-            cells.setdefault(d, []).extend(f"{prefix}:{cid}" for cid in side.cells_of(d))
-            if d >= 1:
-                for cid in side.cells_of(d):
-                    bnd[f"{prefix}:{cid}"] = [f"{prefix}:{f}" for f in side.boundary_of(cid)]
-        for name, members in side.labels.items():
-            labs[f"{prefix}:{name}"] = [f"{prefix}:{cid}" for cid in members]
-    return ChainComplexF2(cells, bnd, labs)
 
 
 def product(a: ChainComplexF2, b: ChainComplexF2) -> ChainComplexF2:

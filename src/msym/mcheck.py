@@ -15,6 +15,7 @@ from math import comb
 
 from .genfun import (
     _check_genus,
+    _check_power,
     betti_sum_large_n,
     betti_sum_sym,
     closed_form_sym2,
@@ -23,6 +24,7 @@ from .genfun import (
 from .homology import BettiVector
 from .realmodels import (
     RealLocusDecomposition,
+    betti_total,
     real_sym2_decomposition,
     real_sym3_decomposition,
 )
@@ -81,12 +83,6 @@ class MVarietyReport:
         )
 
 
-def _real_side_from_models(g: int, n: int, dec: RealLocusDecomposition):
-    per_piece = dec.betti_by_piece()
-    real_sum = sum(mult * sum(b) for _, mult, b in per_piece)
-    return real_sum, per_piece
-
-
 def check(g: int, n: int, decomposition: RealLocusDecomposition | None = None) -> MVarietyReport:
     """Compare real and complex mod-2 Betti sums of the n-th symmetric product.
 
@@ -99,9 +95,7 @@ def check(g: int, n: int, decomposition: RealLocusDecomposition | None = None) -
     is enforced as a hard invariant either way.
     """
     g = _check_genus(g)
-    n = int(n)
-    if n < 0:
-        raise ValueError(f"symmetric power must be nonnegative, got {n}")
+    n = _check_power(n)
 
     complex_sum = betti_sum_sym(g, n)
 
@@ -111,33 +105,32 @@ def check(g: int, n: int, decomposition: RealLocusDecomposition | None = None) -
                 f"decomposition is for (g={decomposition.g}, n={decomposition.n}), "
                 f"not (g={g}, n={n})"
             )
-        real_sum, per_piece = _real_side_from_models(g, n, decomposition)
+        per_piece = decomposition.betti_by_piece()
+        real_sum = betti_total(per_piece)
         method = CW_MODELS
-    elif n == 2:
-        closed = closed_form_sym2(g)
+    elif n in (2, 3):
+        if n == 2:
+            closed, build = closed_form_sym2(g), real_sym2_decomposition
+            expected = 2 * g * (g + 1) + 3 + g
+        else:
+            closed, build = closed_form_sym3(g), real_sym3_decomposition
+            expected = 8 * comb(g + 1, 3) + 2 * (g + 2) * (g + 1)
         if complex_sum != closed:
             raise VerificationError(
-                f"coefficient extraction gives {complex_sum}, closed form {closed} (g={g}, n=2)"
+                f"coefficient extraction gives {complex_sum}, closed form {closed} (g={g}, n={n})"
             )
-        real_sum, per_piece = _real_side_from_models(g, n, real_sym2_decomposition(g))
-        expected = 2 * g * (g + 1) + 3 + g
+        per_piece = build(g).betti_by_piece()
+        real_sum = betti_total(per_piece)
         if real_sum != expected:
             raise VerificationError(
-                f"CW homology gives real sum {real_sum}, piece count predicts {expected} (g={g}, n=2)"
+                f"CW homology gives real sum {real_sum}, piece count predicts {expected} (g={g}, n={n})"
             )
-        method = CW_MODELS
-    elif n == 3:
-        closed = closed_form_sym3(g)
-        if complex_sum != closed:
-            raise VerificationError(
-                f"coefficient extraction gives {complex_sum}, closed form {closed} (g={g}, n=3)"
-            )
-        real_sum, per_piece = _real_side_from_models(g, n, real_sym3_decomposition(g))
-        expected = 8 * comb(g + 1, 3) + 2 * (g + 2) * (g + 1)
-        if real_sum != expected:
-            raise VerificationError(
-                f"CW homology gives real sum {real_sum}, piece count predicts {expected} (g={g}, n=3)"
-            )
+        if n >= 2 * g - 1:
+            bundle = betti_sum_large_n(g, n)
+            if real_sum != bundle:
+                raise VerificationError(
+                    f"CW models give {real_sum}, bundle formula gives {bundle} (g={g}, n={n})"
+                )
         method = CW_MODELS
     elif n >= 2 * g - 1:
         real_sum = betti_sum_large_n(g, n)
@@ -153,13 +146,6 @@ def check(g: int, n: int, decomposition: RealLocusDecomposition | None = None) -
             verdict=UNSUPPORTED_RANGE,
             method=None,
         )
-
-    if n in (2, 3) and n >= 2 * g - 1 and decomposition is None:
-        bundle = betti_sum_large_n(g, n)
-        if real_sum != bundle:
-            raise VerificationError(
-                f"CW models give {real_sum}, bundle formula gives {bundle} (g={g}, n={n})"
-            )
 
     if real_sum > complex_sum:
         raise SmithViolationError(

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
+from typing import Iterable
 
 from .genfun import _check_genus
 from .homology import BettiVector, ChainComplexF2, betti, glue, product
@@ -38,16 +39,6 @@ def disc() -> ChainComplexF2:
 
 
 @dataclass(frozen=True)
-class HalfSurface:
-    """Planar surface with g+1 labeled boundary circles; one half of an
-    M-curve minus its real circles."""
-
-    g: int
-    complex: ChainComplexF2
-    boundary_labels: tuple[str, ...]
-
-
-@dataclass(frozen=True)
 class RealLocusDecomposition:
     """Disjoint-union decomposition of a real locus into named CW pieces."""
 
@@ -63,17 +54,24 @@ class RealLocusDecomposition:
     def betti_by_piece(self) -> tuple[tuple[str, int, BettiVector], ...]:
         return tuple((name, mult, betti(cw)) for name, cw, mult in self.pieces)
 
-    def total_betti_sum(self) -> int:
-        return sum(mult * sum(betti(cw)) for _, cw, mult in self.pieces)
+
+def betti_total(per_piece: Iterable[tuple[str, int, BettiVector]]) -> int:
+    """Total mod-2 Betti sum of a decomposition from its per-piece Betti
+    vectors, as :meth:`RealLocusDecomposition.betti_by_piece` returns them:
+    each piece counts once per copy."""
+    return sum(mult * sum(b) for _, mult, b in per_piece)
 
 
-def build_half_surface(g: int) -> HalfSurface:
-    """Sphere minus g+1 open discs, as a fundamental-polygon complex.
+def build_half_surface(g: int) -> ChainComplexF2:
+    """Sphere minus g+1 open discs, as a fundamental-polygon complex; one
+    half of an M-curve minus its real circles.
 
     One 2-cell attached along the word r0 a1 r1 a1' a2 r2 a2' ... : each
     boundary loop appears once (odd), each connecting arc twice (even), so
     the mod-2 boundary of the face is the set of all boundary loops.  Betti
-    vector (1, g, 0), Euler characteristic 1 - g.
+    vector (1, g, 0), Euler characteristic 1 - g.  The boundary circles are
+    the labels ``C1`` .. ``C(g+1)``: ``C(i+1)`` is the vertex ``vi`` with the
+    loop ``ri``.
     """
     g = _check_genus(g)
     verts = [f"v{i}" for i in range(g + 1)]
@@ -83,8 +81,7 @@ def build_half_surface(g: int) -> HalfSurface:
     bnd.update({f"a{i}": ["v0", f"v{i}"] for i in range(1, g + 1)})
     bnd["f"] = list(rims)
     labels = {f"C{i + 1}": [f"v{i}", f"r{i}"] for i in range(g + 1)}
-    cw = ChainComplexF2({0: verts, 1: rims + arcs, 2: ["f"]}, bnd, labels)
-    return HalfSurface(g=g, complex=cw, boundary_labels=tuple(f"C{i + 1}" for i in range(g + 1)))
+    return ChainComplexF2({0: verts, 1: rims + arcs, 2: ["f"]}, bnd, labels)
 
 
 def build_sym2_circle() -> ChainComplexF2:
@@ -127,13 +124,13 @@ def build_Y(g: int) -> ChainComplexF2:
     This closed surface is the non-torus component of the real locus of the
     second symmetric product; Betti vector (1, g+1, 1).
     """
-    surf = build_half_surface(g)
+    g = _check_genus(g)
     band = build_sym2_circle()
     return glue(
-        surf.complex,
+        build_half_surface(g),
         [
-            (lab, band, "diagonal", {"bd_v": f"v{i}", "bd_e": f"r{i}"}, f"band{i + 1}")
-            for i, lab in enumerate(surf.boundary_labels)
+            (f"C{i + 1}", band, "diagonal", {"bd_v": f"v{i}", "bd_e": f"r{i}"}, f"band{i + 1}")
+            for i in range(g + 1)
         ],
     )
 
@@ -152,7 +149,6 @@ def build_B(g: int, *, glue_sym3: bool = True) -> ChainComplexF2:
     space used to check that the tubes do not change first homology).
     """
     g = _check_genus(g)
-    surf = build_half_surface(g)
     tube = product(circle(), build_sym2_circle())
     attachments = [
         (
@@ -167,7 +163,7 @@ def build_B(g: int, *, glue_sym3: bool = True) -> ChainComplexF2:
     if glue_sym3:
         match = {"pt": "v*v0", "mer": "v*r0", "lon": "e*v0", "tor": "e*r0"}
         attachments.append(("C1", build_sym3_circle(), "torus", match, "cap"))
-    return glue(product(circle(), surf.complex), attachments)
+    return glue(product(circle(), build_half_surface(g)), attachments)
 
 
 def real_sym2_decomposition(g: int) -> RealLocusDecomposition:

@@ -11,12 +11,13 @@ from __future__ import annotations
 import random
 import time
 
-from conftest import klein_bottle, sphere, three_torus, two_torus
+from conftest import klein_bottle, sphere, three_torus, two_torus, without_labels
 
 from msym import (
     M_VARIETY,
     betti,
     betti_sum_sym,
+    betti_total,
     build_B,
     build_half_surface,
     build_sym2_circle,
@@ -32,7 +33,6 @@ from msym import (
     real_sym2_decomposition,
     real_sym3_decomposition,
     run_property_suite,
-    without_labels,
 )
 
 
@@ -58,7 +58,7 @@ def test_criterion_2_sym2_equality_from_matrix_rank():
     t0 = time.perf_counter()
     failures = []
     for g in range(65):
-        total = real_sym2_decomposition(g).total_betti_sum()  # runs matrix ranks
+        total = betti_total(real_sym2_decomposition(g).betti_by_piece())  # runs matrix ranks
         if total != 3 + 3 * g + 2 * g * g:
             failures.append((g, total))
     elapsed = time.perf_counter() - t0
@@ -71,7 +71,7 @@ def test_criterion_3_sym3_equality_from_matrix_rank():
     t0 = time.perf_counter()
     failures = []
     for g in range(1, 65):
-        total = real_sym3_decomposition(g).total_betti_sum()
+        total = betti_total(real_sym3_decomposition(g).betti_by_piece())
         if total != closed_form_sym3(g):
             failures.append((g, total))
     elapsed = time.perf_counter() - t0
@@ -144,7 +144,7 @@ def test_criterion_7_homology_oracles():
         point(),
         disc(),
         sphere(),
-        build_half_surface(2).complex,
+        build_half_surface(2),
         build_Y(2),
         build_B(1),
     ]

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from msym import ChainComplexF2, betti, build_B, circle, product
+from msym import ChainComplexF2, betti, build_B, circle, genfun, product
 from msym.cli import main
 
 
@@ -72,6 +75,16 @@ def test_betti_sym_poly(capsys):
     assert obj == {"g": 0, "n": 3, "betti_sum": 4, "poincare": [1, 0, 1, 0, 1, 0, 1]}
 
 
+def test_betti_sym_builds_the_polynomial_only_under_poly(capsys, monkeypatch):
+    def refuse(g, n):
+        raise AssertionError("poincare_sym called without --poly")
+
+    monkeypatch.setattr(genfun, "poincare_sym", refuse)
+    code, out, _ = run(capsys, ["betti-sym", "--g", "3", "--n", "2"])
+    assert code == 0
+    assert "| 3 | 2 | 30        |" in out
+
+
 def test_betti_sym_csv(capsys):
     code, out, _ = run(capsys, ["betti-sym", "--g", "2", "--n", "3", "--format", "csv"])
     assert code == 0
@@ -112,6 +125,15 @@ def test_homology_malformed_file_names_cell(capsys, tmp_path):
     code, _, err = run(capsys, ["homology", "--file", str(path)])
     assert code == 2
     assert "ghost" in err
+
+
+@pytest.mark.parametrize("key", ["300000", "\u00b2"])
+def test_homology_bad_dimension_key_exits_2_naming_it(capsys, tmp_path, key):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"cells": {"0": ["v"], key: ["x"]}}), encoding="utf-8")
+    code, out, err = run(capsys, ["homology", "--file", str(path)])
+    assert code == 2 and out == ""
+    assert err.startswith(f'error: cell dimension key "{key}"')
 
 
 def test_homology_missing_file(capsys, tmp_path):
@@ -197,3 +219,17 @@ def test_md_tables_are_pipe_aligned(capsys):
     lines = out.strip().splitlines()
     assert all(line.startswith("| ") and line.endswith(" |") for line in lines)
     assert len({len(line) for line in lines}) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-m", "--sweep", "--gmax", "30", "--nmax", "40", "--format", "csv"],  # fails in a write
+    ["betti-sym", "--g", "2", "--n", "3"],  # output fits the buffer: fails in the final flush
+])
+def test_closed_stdout_exits_141_without_traceback(argv):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.Popen([sys.executable, "-m", "msym.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()  # the reader is gone before the first byte is written
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 141
+    assert b"Traceback" not in err and b"BrokenPipeError" not in err

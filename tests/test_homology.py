@@ -2,17 +2,22 @@
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
 from conftest import (
+    disjoint_union,
     klein_bottle,
+    rename_cells,
     sphere,
     subdivided_circle,
     three_torus,
+    transpose,
     two_torus,
     wide_mobius,
     with_elementary_expansions,
+    without_labels,
 )
 
 from msym import (
@@ -28,15 +33,13 @@ from msym import (
     build_Y,
     circle,
     disc,
-    disjoint_union,
     euler_char,
     glue,
     is_nullhomologous,
     label_subcomplex,
     product,
-    rename_cells,
-    without_labels,
 )
+from msym.homology import MAX_CELL_DIM
 
 
 def convolve(a, b):
@@ -157,7 +160,7 @@ def test_glue_two_mobius_bands_make_a_klein_bottle():
 
 
 def test_glue_mobius_caps_on_annulus_make_a_klein_bottle():
-    out = build_half_surface(1).complex
+    out = build_half_surface(1)
     for i, lab in enumerate(("C1", "C2")):
         out = glue(
             out,
@@ -208,7 +211,7 @@ def test_glue_rejects_non_chain_map():
 
 
 def test_glue_names_the_failing_attachment():
-    base = build_half_surface(2).complex
+    base = build_half_surface(2)
     band = build_sym2_circle()
     attachments = [
         ("C1", band, "diagonal", {"bd_v": "v0", "bd_e": "r0"}, "band1"),
@@ -236,7 +239,7 @@ def test_glue_keeps_base_ids_and_namespaces_attached_side():
 
 def test_euler_char_examples(zoo):
     assert euler_char(zoo["torus"]) == 0
-    assert euler_char(build_half_surface(2).complex) == -1
+    assert euler_char(build_half_surface(2)) == -1
     assert euler_char(zoo["solid_torus"]) == 0
     assert euler_char(zoo["rp2"]) == 1
 
@@ -271,14 +274,14 @@ def test_bitmatrix_rank_equals_transpose_rank(nrows, ncols, seed):
     m = BitMatrixF2([rng.getrandbits(ncols) for _ in range(nrows)], ncols)
     r = m.rank()
     assert r <= min(nrows, ncols)
-    assert m.transpose().rank() == r
+    assert transpose(m).rank() == r
 
 
 def test_bitmatrix_rank_transpose_large():
     rng = random.Random(2024)
     n = 2000
     m = BitMatrixF2([rng.getrandbits(n) for _ in range(n)], n)
-    assert m.rank() == m.transpose().rank()
+    assert m.rank() == transpose(m).rank()
 
 
 def test_bitmatrix_rank_invariant_under_permutations():
@@ -340,7 +343,7 @@ def test_nullhomologous_cycles():
 
 
 def test_nullhomologous_rejects_non_cycles():
-    surf = build_half_surface(1).complex
+    surf = build_half_surface(1)
     with pytest.raises(ValueError, match="not a cycle"):
         is_nullhomologous(surf, 1, ["a1"])
     with pytest.raises(ValueError, match="not a 1-cell"):
@@ -437,6 +440,33 @@ def test_json_parse_errors_name_the_cell():
         ChainComplexF2.from_json(
             '{"cells": {"0": ["v"]}, "boundary": {}, "labels": {"L": ["w"]}}'
         )
+
+
+@pytest.mark.parametrize("key", ["\u00b2", "\u0663", "1\u00b9"])
+def test_json_rejects_non_ascii_digit_dimension_keys(key):
+    text = json.dumps({"cells": {"0": ["v"], key: ["x"]}})
+    with pytest.raises(CWFormatError, match=f'dimension key "{key}" is not a nonnegative integer'):
+        ChainComplexF2.from_json(text)
+
+
+@pytest.mark.parametrize("key", ["300000", str(MAX_CELL_DIM + 1), "9" * 5000, "0" * 5000 + "65"])
+def test_json_rejects_dimensions_above_the_cap(key):
+    text = json.dumps({"cells": {"0": ["v"], key: ["x"]}})
+    with pytest.raises(CWFormatError, match=f'"{key}" is above the maximum dimension {MAX_CELL_DIM}'):
+        ChainComplexF2.from_json(text)
+
+
+def test_json_accepts_dimensions_up_to_the_cap():
+    assert MAX_CELL_DIM >= 16  # well above the curated models and the benchmark files
+    for key, dim in ((str(MAX_CELL_DIM), MAX_CELL_DIM), ("0" * 5000 + "2", 2)):
+        cw = ChainComplexF2.from_json(json.dumps({"cells": {"0": ["v"], key: ["x"]}}))
+        assert cw.dim == dim and betti(cw)[-1] == 1
+
+
+def test_json_rejects_two_keys_for_one_dimension():
+    text = '{"cells": {"0": ["v"], "1": ["a"], "01": ["b"]}}'
+    with pytest.raises(CWFormatError, match='"01" repeats dimension 1'):
+        ChainComplexF2.from_json(text)
 
 
 def test_double_boundary_is_zero_everywhere(zoo):

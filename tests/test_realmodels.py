@@ -11,6 +11,7 @@ from msym import (
     ChainComplexF2,
     RealLocusDecomposition,
     betti,
+    betti_total,
     build_B,
     build_half_surface,
     build_sym2_circle,
@@ -34,23 +35,23 @@ from msym import (
 @pytest.mark.parametrize("g,expected", [(0, (1, 0, 0)), (1, (1, 1, 0)), (2, (1, 2, 0))])
 def test_half_surface_betti(g, expected):
     surf = build_half_surface(g)
-    assert betti(surf.complex) == expected
-    assert euler_char(surf.complex) == 1 - g
+    assert betti(surf) == expected
+    assert euler_char(surf) == 1 - g
 
 
 def test_half_surface_boundary_circles():
     for g in range(5):
         surf = build_half_surface(g)
-        assert len(surf.boundary_labels) == g + 1
-        for lab in surf.boundary_labels:
-            ring = label_subcomplex(surf.complex, lab)
+        assert set(surf.labels) == {f"C{i + 1}" for i in range(g + 1)}
+        for lab in surf.labels:
+            ring = label_subcomplex(surf, lab)
             assert ring.n_cells(0) == 1 and ring.n_cells(1) == 1
             assert betti(ring) == (1, 1)
 
 
 def test_half_surface_is_connected():
     for g in range(5):
-        assert betti(build_half_surface(g).complex)[0] == 1
+        assert betti(build_half_surface(g))[0] == 1
 
 
 # --- circle pairs (Möbius band) ---------------------------------------------------
@@ -126,7 +127,7 @@ def test_B_structure(g):
 
 def test_B_first_homology_matches_circle_times_half_surface():
     for g in range(1, 5):
-        base = product(circle(), build_half_surface(g).complex)
+        base = product(circle(), build_half_surface(g))
         assert betti(build_B(g))[1] == betti(base)[1] == g + 1
 
 
@@ -155,43 +156,43 @@ def test_sym2_decomposition_pieces():
     dec = real_sym2_decomposition(1)
     names = {name: mult for name, _, mult in dec.pieces}
     assert names == {"Y": 1, "torus": 1}
-    assert dec.total_betti_sum() == 8
+    assert betti_total(dec.betti_by_piece()) == 8
 
     only_y = real_sym2_decomposition(0)
     assert [name for name, _, _ in only_y.pieces] == ["Y"]
-    assert only_y.total_betti_sum() == 3
+    assert betti_total(only_y.betti_by_piece()) == 3
 
-    assert real_sym2_decomposition(2).total_betti_sum() == 17
+    assert betti_total(real_sym2_decomposition(2).betti_by_piece()) == 17
 
 
 def test_sym3_decomposition_pieces():
     dec = real_sym3_decomposition(1)
     names = {name: mult for name, _, mult in dec.pieces}
     assert names == {"B": 2}  # no three-torus below genus 2
-    assert dec.total_betti_sum() == 12
+    assert betti_total(dec.betti_by_piece()) == 12
 
     dec = real_sym3_decomposition(2)
     names = {name: mult for name, _, mult in dec.pieces}
     assert names == {"3-torus": 1, "B": 3}
-    assert dec.total_betti_sum() == 8 + 24
+    assert betti_total(dec.betti_by_piece()) == 8 + 24
 
-    assert real_sym3_decomposition(3).total_betti_sum() == 4 * 8 + 4 * 10
+    assert betti_total(real_sym3_decomposition(3).betti_by_piece()) == 4 * 8 + 4 * 10
 
 
 def test_sym2_decomposition_matches_closed_form():
     for g in range(7):
-        assert real_sym2_decomposition(g).total_betti_sum() == closed_form_sym2(g)
+        assert betti_total(real_sym2_decomposition(g).betti_by_piece()) == closed_form_sym2(g)
 
 
 def test_sym3_decomposition_matches_closed_form():
     for g in range(1, 5):
-        assert real_sym3_decomposition(g).total_betti_sum() == closed_form_sym3(g)
+        assert betti_total(real_sym3_decomposition(g).betti_by_piece()) == closed_form_sym3(g)
 
 
 def test_decomposition_piece_formula():
     for g in range(1, 5):
         dec = real_sym3_decomposition(g)
-        assert dec.total_betti_sum() == 8 * comb(g + 1, 3) + 2 * (g + 2) * (g + 1)
+        assert betti_total(dec.betti_by_piece()) == 8 * comb(g + 1, 3) + 2 * (g + 2) * (g + 1)
 
 
 def test_decomposition_rejects_zero_multiplicity():
@@ -220,7 +221,7 @@ def test_curated_models_pass_the_full_validator():
     models = [build_sym2_circle(), build_sym3_circle()]
     for g in range(65):
         models += [
-            build_half_surface(g).complex,
+            build_half_surface(g),
             build_Y(g),
             build_B(g),
             build_B(g, glue_sym3=False),
