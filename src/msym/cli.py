@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 
@@ -134,6 +135,10 @@ def _cmd_homology(args) -> int:
 
 
 def _cmd_verify_fibration(args) -> int:
+    # nan and values <= 0 would fail every check, inf would pass every one
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        print(f"error: --tol {args.tol!r} must be a finite number > 0", file=sys.stderr)
+        return 2
     fiber_tol = args.tol * 1e-3
     report = fibration.run_property_suite(
         samples=args.samples,
@@ -188,8 +193,12 @@ def _cmd_export_model(args) -> int:
         cw = realmodels.build_sym3_circle()
     text = cw.to_json()
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     else:
         print(text)
     return 0

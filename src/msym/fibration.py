@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Callable, Iterable
 
 ROUNDTRIP_TOL = 1e-9
@@ -28,8 +29,13 @@ class FiberError(ValueError):
     """Input triple does not lie on the requested fiber."""
 
 
+# Float angles are tested with ``type(x) is float`` before any
+# ``isinstance(x, Fraction)``: Fraction's ABC instance check costs several
+# times the float arithmetic it guards, and the sampled suite is all floats.
+
+
 def _mod1(x: Angle) -> Angle:
-    if isinstance(x, Fraction):
+    if type(x) is not float and isinstance(x, Fraction):
         return x % 1
     y = x % 1.0
     # float modulo of a tiny negative can round up to exactly 1.0
@@ -41,7 +47,7 @@ def _circle_dist(x: Angle, y: Angle):
     return min(d, 1 - d)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CirclePoint:
     """Angle in [0, 1) representing a point on the unit circle."""
 
@@ -49,7 +55,7 @@ class CirclePoint:
 
     def __post_init__(self):
         s = self.s
-        if isinstance(s, int):
+        if type(s) is not float and isinstance(s, int):
             s = Fraction(s)
         object.__setattr__(self, "s", _mod1(s))
 
@@ -64,24 +70,33 @@ class CirclePoint:
         return _circle_dist(self.s, other.s)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SymTriple:
     """Unordered triple of circle points, stored sorted by angle."""
 
     pts: tuple[CirclePoint, CirclePoint, CirclePoint]
 
     def __post_init__(self):
-        pts = tuple(sorted(self.pts, key=lambda p: p.s))
+        pts = tuple(self.pts)
         if len(pts) != 3:
             raise ValueError("a triple needs exactly three points")
-        object.__setattr__(self, "pts", pts)
+        # insertion sort on strict <: stable, like sorted(key=lambda p: p.s)
+        a, b, c = pts
+        if b.s < a.s:
+            a, b = b, a
+        if c.s < b.s:
+            b, c = c, b
+            if b.s < a.s:
+                a, b = b, a
+        object.__setattr__(self, "pts", (a, b, c))
 
     @classmethod
     def from_angles(cls, a: Angle, b: Angle, c: Angle) -> "SymTriple":
         return cls((CirclePoint(a), CirclePoint(b), CirclePoint(c)))
 
     def angles(self) -> tuple[Angle, Angle, Angle]:
-        return tuple(p.s for p in self.pts)
+        a, b, c = self.pts
+        return (a.s, b.s, c.s)
 
     @property
     def is_exact(self) -> bool:
@@ -138,7 +153,8 @@ def t_map(p: SimplexPoint, *, tol: float = ROUNDTRIP_TOL) -> SymTriple:
     d1, d2 = p.d1, p.d2
     if d1 < -tol or d2 < -tol or d1 + d2 > 1 + tol:
         raise DomainError(f"({d1}, {d2}) is not in the parameter triangle")
-    if isinstance(d1, (int, Fraction)) and isinstance(d2, (int, Fraction)):
+    if (type(d1) is not float
+            and isinstance(d1, (int, Fraction)) and isinstance(d2, (int, Fraction))):
         lam = -Fraction(2 * d1 + d2) / 3
     else:
         lam = -(2 * d1 + d2) / 3.0
@@ -170,11 +186,13 @@ def t_inverse(tr: SymTriple, *, tol: float = FIBER_TOL) -> SimplexPoint:
     when the product of the entries is not 1 within tol.
     """
     th = theta(tr)
-    if th.distance_to(CirclePoint(0)) > tol:
+    if _circle_dist(th.s, 0) > tol:
         raise FiberError(f"triple with angle sum {th.s} is not on the fiber over 1")
     lift = tr.angles()
     sigma = lift[0] + lift[1] + lift[2]
-    if isinstance(sigma, Fraction):
+    # sigma is exact iff all three angles are, and then so are d1 and d2
+    exact = type(sigma) is not float and isinstance(sigma, Fraction)
+    if exact:
         if sigma.denominator != 1:
             raise FiberError(f"exact triple has non-integral angle sum {sigma}")
         k = int(sigma)
@@ -193,7 +211,7 @@ def t_inverse(tr: SymTriple, *, tol: float = FIBER_TOL) -> SimplexPoint:
         assert steps < 5, "lift normalization did not terminate"
     d1 = lift[1] - lift[0]
     d2 = lift[2] - lift[1]
-    if not isinstance(d1, Fraction) or not isinstance(d2, Fraction):
+    if not exact:
         # float rounding can push a boundary value a few ulps outside
         d1 = min(max(d1, 0.0), 1.0)
         d2 = min(max(d2, 0.0), 1.0)
@@ -260,13 +278,12 @@ def on_fiber_boundary_curve(tr: SymTriple) -> bool:
 
 
 def _rational_angles(max_denominator: int) -> Iterable[Fraction]:
-    seen: set[Fraction] = set()
+    """Each angle k/q in [0, 1) with q <= max_denominator once, in lowest
+    terms, ordered by denominator then numerator."""
     for q in range(1, max_denominator + 1):
         for k in range(q):
-            a = Fraction(k, q)
-            if a not in seen:
-                seen.add(a)
-                yield a
+            if gcd(k, q) == 1:
+                yield Fraction(k, q)
 
 
 def _diagonal_curve_hits(on_curve: Callable[[SymTriple], bool], max_denominator: int):

@@ -37,6 +37,11 @@ class CWFormatError(ValueError):
     """Malformed CW-complex JSON input."""
 
 
+class EulerCharacteristicMismatch(ArithmeticError):
+    """Betti numbers whose alternating sum is not the Euler characteristic;
+    signals a bug in the rank computation, never bad input."""
+
+
 # Highest cell dimension accepted from JSON.  Work and output grow with the
 # top dimension, not with the number of cells, so it is bounded; the curated
 # models reach dimension 3.
@@ -286,12 +291,27 @@ def betti(c: ChainComplexF2) -> BettiVector:
 
     b_k = dim ker(d_k) - rank(d_{k+1}); in particular b_0 is the number of
     connected components.
+
+    Every call checks that the alternating sum of the result equals
+    :func:`euler_char` and raises :class:`EulerCharacteristicMismatch`
+    otherwise.  With b_k computed from the ranks as above, the two differ by
+    rank(d_0) + (-1)^top * rank(d_{top+1}), the ranks of the two matrices
+    with no columns or no rows, so the check catches a rank that miscounts
+    those.
     """
     top = c.dim
     if top < 0:
         return ()
     ranks = [boundary_matrix(c, k).rank() for k in range(top + 2)]
-    return tuple(c.n_cells(k) - ranks[k] - ranks[k + 1] for k in range(top + 1))
+    b = tuple(c.n_cells(k) - ranks[k] - ranks[k + 1] for k in range(top + 1))
+    alternating = sum(b[0::2]) - sum(b[1::2])
+    chi = euler_char(c)
+    if alternating != chi:
+        raise EulerCharacteristicMismatch(
+            f"Betti numbers {b} have alternating sum {alternating}, "
+            f"but the Euler characteristic is {chi}"
+        )
+    return b
 
 
 def euler_char(c: ChainComplexF2) -> int:

@@ -169,6 +169,71 @@ def test_verify_fibration_fails_under_absurd_tolerance(capsys):
     assert code == 1
 
 
+# stdout of the implementation before the float fast paths, byte for byte
+VERIFY_FIBRATION_500_3 = {
+    "csv": (
+        'check,value,required,passed\n'
+        'roundtrip_max_error,1.1102230246251565e-16,1e-09,yes\n'
+        'fiber_max_error,2.220446049250313e-16,1.0000000000000002e-12,yes\n'
+        'boundary_agreement,1.0,1.0,yes\n'
+        'section_intersections,1,1,yes\n'
+        'fiber_boundary_intersections,2,2,yes\n'
+    ),
+    "json": (
+        '{\n'
+        '  "samples": 500,\n'
+        '  "seed": 3,\n'
+        '  "checks": [\n'
+        '    {\n'
+        '      "check": "roundtrip_max_error",\n'
+        '      "value": 1.1102230246251565e-16,\n'
+        '      "required": 1e-09,\n'
+        '      "passed": true\n'
+        '    },\n'
+        '    {\n'
+        '      "check": "fiber_max_error",\n'
+        '      "value": 2.220446049250313e-16,\n'
+        '      "required": 1.0000000000000002e-12,\n'
+        '      "passed": true\n'
+        '    },\n'
+        '    {\n'
+        '      "check": "boundary_agreement",\n'
+        '      "value": 1.0,\n'
+        '      "required": 1.0,\n'
+        '      "passed": true\n'
+        '    },\n'
+        '    {\n'
+        '      "check": "section_intersections",\n'
+        '      "value": 1,\n'
+        '      "required": 1,\n'
+        '      "passed": true\n'
+        '    },\n'
+        '    {\n'
+        '      "check": "fiber_boundary_intersections",\n'
+        '      "value": 2,\n'
+        '      "required": 2,\n'
+        '      "passed": true\n'
+        '    }\n'
+        '  ],\n'
+        '  "all_passed": true\n'
+        '}\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(VERIFY_FIBRATION_500_3))
+def test_verify_fibration_output_is_pinned(capsys, fmt):
+    argv = ["verify-fibration", "--samples", "500", "--seed", "3", "--format", fmt]
+    assert run(capsys, argv) == (0, VERIFY_FIBRATION_500_3[fmt], "")
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
+def test_verify_fibration_rejects_bad_tolerance(capsys, tol):
+    code, out, err = run(capsys, ["verify-fibration", "--samples", "10", "--tol", tol])
+    assert (code, out) == (2, "")
+    assert err == f"error: --tol {float(tol)!r} must be a finite number > 0\n"
+
+
 def test_export_model_round_trip(capsys):
     code, out, _ = run(capsys, ["export-model", "--name", "B", "--g", "2"])
     assert code == 0
@@ -193,6 +258,13 @@ def test_export_model_to_file(capsys, tmp_path):
     code, out, _ = run(capsys, ["export-model", "--name", "Y", "--g", "1", "--out", str(path)])
     assert code == 0 and out == ""
     assert betti(ChainComplexF2.from_json(path.read_text())) == (1, 2, 1)
+
+
+def test_export_model_to_unwritable_path_exits_2(capsys, tmp_path):
+    path = tmp_path / "no-such-dir" / "b.json"
+    code, out, err = run(capsys, ["export-model", "--name", "B", "--g", "1", "--out", str(path)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and str(path) in err
 
 
 def test_invalid_values_exit_2(capsys):

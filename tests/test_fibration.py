@@ -220,6 +220,55 @@ def test_triple_distance_handles_wraparound():
     assert a.distance_to(b) < 1e-11
 
 
+# --- exact and float angle types -------------------------------------------------------
+
+
+class FrSub(Fr):
+    """A Fraction subclass: must take the exact path, like Fraction itself."""
+
+
+def _exact(values):
+    assert all(type(v) is Fr for v in values), values
+    return values
+
+
+def test_exact_inputs_give_fraction_angles():
+    # values frozen from the implementation before the float fast paths
+    assert _exact((CirclePoint(3).s, CirclePoint(-2).s, CirclePoint(True).s)) == (0, 0, 0)
+    assert _exact((CirclePoint(Fr(7, 3)).s, CirclePoint(FrSub(-1, 4)).s)) == (Fr(1, 3), Fr(3, 4))
+    assert _exact(t_map(SimplexPoint(1, 0)).angles()) == (Fr(1, 3),) * 3
+    assert _exact(t_map(SimplexPoint(0, 1)).angles()) == (Fr(2, 3),) * 3
+    for d1, d2 in [(Fr(1, 5), Fr(2, 7)), (FrSub(1, 5), FrSub(2, 7))]:
+        assert _exact(t_map(SimplexPoint(d1, d2)).angles()) == (Fr(9, 35), Fr(27, 35), Fr(34, 35))
+    assert _exact(t_map(SimplexPoint(FrSub(1, 2), 0)).angles()) == (Fr(1, 6), Fr(1, 6), Fr(2, 3))
+    assert _exact(t_inverse(SymTriple.from_angles(0, 1, 2)).as_tuple()) == (0, 0)
+    sub_triple = SymTriple.from_angles(FrSub(1, 5), FrSub(2, 5), FrSub(2, 5))
+    assert _exact(t_inverse(sub_triple).as_tuple()) == (Fr(4, 5), Fr(1, 5))
+    mixed = SymTriple.from_angles(Fr(5, 6), Fr(1, 2), Fr(2, 3))
+    assert _exact(t_inverse(mixed).as_tuple()) == (Fr(1, 6), Fr(2, 3))
+    assert _exact((theta(SymTriple.from_angles(1, FrSub(1, 4), Fr(1, 2))).s,)) == (Fr(3, 4),)
+    assert _exact((theta(SymTriple.from_angles(2, 3, 5)).s,)) == (0,)
+    sub_sum = theta(SymTriple.from_angles(FrSub(2, 3), FrSub(2, 3), FrSub(1, 2))).s
+    assert _exact((sub_sum,)) == (Fr(5, 6),)
+
+
+def test_tiny_negative_float_wraps_to_zero():
+    assert -1e-18 % 1.0 == 1.0  # what the guard in _mod1 is for
+    s = CirclePoint(-1e-18).s
+    assert s == 0.0 and type(s) is float
+
+
+def test_triple_sort_is_stable_on_ties():
+    # equal angles of different types keep their input order, as sorted() does
+    def types(*angles):
+        return [type(s) for s in SymTriple.from_angles(*angles).angles()]
+
+    assert types(Fr(1, 2), 0.5, 0.1) == [float, Fr, float]
+    assert types(0.5, Fr(1, 2), 0.1) == [float, float, Fr]
+    for p in permutations((0.7, 0.2, 0.4)):
+        assert SymTriple.from_angles(*p).angles() == (0.2, 0.4, 0.7)
+
+
 # --- exact curve intersections -------------------------------------------------------
 
 

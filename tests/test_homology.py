@@ -24,6 +24,7 @@ from msym import (
     BitMatrixF2,
     ChainComplexF2,
     CWFormatError,
+    EulerCharacteristicMismatch,
     InterfaceMismatch,
     InvalidComplexError,
     betti,
@@ -248,6 +249,18 @@ def test_euler_char_equals_alternating_betti_sum(zoo):
     for name, cw in zoo.items():
         b = betti(cw)
         assert euler_char(cw) == sum((-1) ** k * x for k, x in enumerate(b)), name
+
+
+def test_betti_raises_when_ranks_contradict_the_euler_characteristic(zoo, monkeypatch):
+    # one too many on every matrix; the torus has top dimension 2, so the
+    # matrices with no columns (d_0) and no rows (d_3) add 2 and chi is off
+    real_rank = BitMatrixF2.rank
+    monkeypatch.setattr(BitMatrixF2, "rank", lambda self: real_rank(self) + 1)
+    with pytest.raises(EulerCharacteristicMismatch) as exc:
+        betti(zoo["torus"])
+    assert str(exc.value) == (
+        "Betti numbers (-1, 0, -1) have alternating sum -2, but the Euler characteristic is 0"
+    )
 
 
 # --- bit matrices --------------------------------------------------------------
