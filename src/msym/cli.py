@@ -4,7 +4,9 @@ Exit codes: 0 on success (all verdicts/tolerances met), 1 on any failed
 verification, 2 on bad arguments (including a sweep grid with no (g, n)
 pair) or malformed input files, and 141 (128 + SIGPIPE, what a shell
 reports for a process killed by a closed pipe) with no traceback when the
-reader of stdout closes it before all output is written.  Output is
+reader of stdout closes it before all output is written.  An input whose
+answer is too large to print exits 2 as a bad argument (see
+``MAX_ANSWER_DIGITS``).  Output is
 byte-deterministic for fixed flags and seed; sweep rows come out sorted by
 (g, n).
 """
@@ -13,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -46,8 +49,46 @@ def _emit(columns, rows, json_obj, fmt, file=None):
         _print_table(columns, rows, fmt, file)
 
 
+# The size rule.  Python converts an int of at most 4,300 decimal digits to
+# text (its default ``int_max_str_digits``), so a Betti sum longer than that
+# cannot be printed; ``betti-sym --poly`` prints 2n + 1 coefficients, so its
+# degree 2n is capped as well.  Either case exits 2 with an error naming the
+# flags.  Inputs whose sum is sure to be too long are rejected before any
+# work (see ``_sum_too_long``); the rest cost at most about a second and are
+# checked on the computed sum.
+MAX_ANSWER_DIGITS = 4300
+MAX_POLY_DEGREE = 4000
+
+
+def _sum_too_long(g: int, n: int) -> bool:
+    """Whether the Betti sum of Sym^n of a genus-g surface surely has more
+    than MAX_ANSWER_DIGITS digits.  With k = min(g, n) the sum is at least
+    C(2g, k) * (n - k + 1) >= (2g // k)^k * (n - k + 1), whose bit length
+    needs no big-int work."""
+    k = min(g, n)
+    if k <= 0:
+        return False
+    low_bits = k * ((2 * g // k).bit_length() - 1) + (n - k + 1).bit_length() - 1
+    return low_bits >= (10 ** MAX_ANSWER_DIGITS).bit_length()
+
+
+def _reject_size(flags: str) -> int:
+    print(f"error: {flags}: the Betti sum has more than {MAX_ANSWER_DIGITS} decimal "
+          "digits, too many to print", file=sys.stderr)
+    return 2
+
+
 def _cmd_betti_sym(args) -> int:
+    flags = f"--g {args.g} --n {args.n}"
+    if _sum_too_long(args.g, args.n):
+        return _reject_size(flags)
     total = genfun.betti_sum_sym(args.g, args.n)
+    if total >= 10 ** MAX_ANSWER_DIGITS:
+        return _reject_size(flags)
+    if args.poly and 2 * args.n > MAX_POLY_DEGREE:
+        print(f"error: --n {args.n} with --poly: the Poincare polynomial has degree "
+              f"{2 * args.n}, above the cap of {MAX_POLY_DEGREE}", file=sys.stderr)
+        return 2
     columns = ["g", "n", "betti_sum"]
     row = [args.g, args.n, total]
     obj = {"g": args.g, "n": args.n, "betti_sum": total}
@@ -95,12 +136,22 @@ def _cmd_check_m(args) -> int:
                 print(f"error: {flag} {value} leaves the sweep empty; it must be >= {low}",
                       file=sys.stderr)
                 return 2
+        flags = f"--gmax {args.gmax} --nmax {args.nmax}"
+        if _sum_too_long(args.gmax, args.nmax):
+            return _reject_size(flags)
         reports = mcheck.sweep(args.gmax, args.nmax)
     else:
         if args.g is None or args.n is None:
             print("error: provide --g and --n, or --sweep", file=sys.stderr)
             return 2
+        flags = f"--g {args.g} --n {args.n}"
+        if _sum_too_long(args.g, args.n):
+            return _reject_size(flags)
         reports = [mcheck.check(args.g, args.n)]
+    # The Betti sum grows with g and n, so the last row has the longest
+    # complex sum, and no real sum exceeds it (Smith inequality).
+    if reports[-1].complex_sum >= 10 ** MAX_ANSWER_DIGITS:
+        return _reject_size(flags)
     for rep in reports:
         if rep.verdict == mcheck.UNSUPPORTED_RANGE:
             print(
@@ -204,7 +255,9 @@ def _cmd_export_model(args) -> int:
     return 0
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused after it."""
     parser = argparse.ArgumentParser(
         prog="msym",
         description="Exact mod-2 Betti sums of symmetric products of real curves "

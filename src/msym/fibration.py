@@ -151,7 +151,8 @@ def t_map(p: SimplexPoint, *, tol: float = ROUNDTRIP_TOL) -> SymTriple:
     L = -(2*d1 + d2)/3, so the three angles sum to 0 mod 1.
     """
     d1, d2 = p.d1, p.d2
-    if d1 < -tol or d2 < -tol or d1 + d2 > 1 + tol:
+    # written so that nan fails the test: every comparison with nan is false
+    if not (d1 >= -tol and d2 >= -tol and d1 + d2 <= 1 + tol):
         raise DomainError(f"({d1}, {d2}) is not in the parameter triangle")
     if (type(d1) is not float
             and isinstance(d1, (int, Fraction)) and isinstance(d2, (int, Fraction))):
@@ -186,7 +187,7 @@ def t_inverse(tr: SymTriple, *, tol: float = FIBER_TOL) -> SimplexPoint:
     when the product of the entries is not 1 within tol.
     """
     th = theta(tr)
-    if _circle_dist(th.s, 0) > tol:
+    if not (_circle_dist(th.s, 0) <= tol):  # a nan angle sum fails too
         raise FiberError(f"triple with angle sum {th.s} is not on the fiber over 1")
     lift = tr.angles()
     sigma = lift[0] + lift[1] + lift[2]

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 
 
 class IntegralityViolation(ArithmeticError):
@@ -93,19 +92,27 @@ def _check_power(n: int) -> int:
 def poincare_sym(g: int, n: int) -> GradedPoly:
     """Poincare polynomial of the n-th symmetric product of a genus-g surface.
 
-    Extracts the t^n coefficient of (1+x*t)^(2g) / ((1-t)(1-x^2*t)) by
-    truncated series multiplication: (1+x*t)^(2g) contributes C(2g,k) x^k t^k,
-    the two geometric factors contribute t^a and x^(2b) t^b, and the terms
-    with k + a + b = n are collected.  The result has degree exactly 2n and
+    The t^n coefficient of (1+x*t)^(2g) / ((1-t)(1-x^2*t)) collects the terms
+    C(2g,k) x^k t^k * t^a * x^(2b) t^b with k + a + b = n, so the coefficient
+    of x^j is the sum of C(2g,k) over k of the parity of j with
+    0 <= k <= min(j, 2n - j, 2g).  The binomials come from a running product
+    and are summed by parity as they go, so each coefficient is one lookup:
+    O(g + n) big-int operations.  The result has degree exactly 2n and
     palindromic coefficients.
     """
     g = _check_genus(g)
     n = _check_power(n)
-    coeffs = [0] * (2 * n + 1)
-    for k in range(min(2 * g, n) + 1):
-        c = comb(2 * g, k)
-        for b in range(n - k + 1):
-            coeffs[k + 2 * b] += c
+    m = min(2 * g, n)
+    pre = []  # pre[k] = C(2g, k) + C(2g, k - 2) + C(2g, k - 4) + ...
+    c = 1  # C(2g, k)
+    for k in range(m + 1):
+        pre.append(c + pre[k - 2] if k >= 2 else c)
+        c = c * (2 * g - k) // (k + 1)
+    coeffs = []
+    for j in range(2 * n + 1):
+        top = min(j, 2 * n - j, m)
+        top -= (j - top) & 1  # largest k <= top with the parity of j
+        coeffs.append(pre[top] if top >= 0 else 0)
     return GradedPoly(tuple(coeffs))
 
 
@@ -113,11 +120,17 @@ def betti_sum_sym(g: int, n: int) -> int:
     """Sum of the mod-2 Betti numbers of the n-th symmetric product.
 
     Computed independently of :func:`poincare_sym` as the t^n coefficient of
-    (1+t)^(2g) / (1-t)^2, i.e. sum over k of C(2g,k)*(n-k+1).
+    (1+t)^(2g) / (1-t)^2, i.e. sum over k of C(2g,k)*(n-k+1), with its own
+    running binomial: O(g + n) big-int operations.
     """
     g = _check_genus(g)
     n = _check_power(n)
-    return sum(comb(2 * g, k) * (n - k + 1) for k in range(min(2 * g, n) + 1))
+    total = 0
+    c = 1  # C(2g, k)
+    for k in range(min(2 * g, n) + 1):
+        total += c * (n - k + 1)
+        c = c * (2 * g - k) // (k + 1)
+    return total
 
 
 def closed_form_sym2(g: int) -> int:

@@ -1,8 +1,10 @@
 """Shared fixtures: a zoo of curated models, refinement utilities, and
-reference operations on complexes and matrices that only the tests use."""
+reference operations on complexes, matrices and generating functions that
+only the tests use."""
 
 from __future__ import annotations
 
+from math import comb
 from typing import Callable
 
 import pytest
@@ -10,6 +12,7 @@ import pytest
 from msym import (
     BitMatrixF2,
     ChainComplexF2,
+    GradedPoly,
     build_B,
     build_half_surface,
     build_sym2_circle,
@@ -160,6 +163,22 @@ def chained_B(g: int, *, glue_sym3: bool = True) -> ChainComplexF2:
         match = {"pt": "v*v0", "mer": "v*r0", "lon": "e*v0", "tor": "e*r0"}
         out = glue(out, [("C1", build_sym3_circle(), "torus", match, "cap")])
     return out
+
+
+def reference_poincare_sym(g: int, n: int) -> GradedPoly:
+    """Reference for ``poincare_sym``: truncated series multiplication, adding
+    C(2g,k) into degree k + 2b for every b <= n - k, O(g*n) big-int additions."""
+    coeffs = [0] * (2 * n + 1)
+    for k in range(min(2 * g, n) + 1):
+        c = comb(2 * g, k)
+        for b in range(n - k + 1):
+            coeffs[k + 2 * b] += c
+    return GradedPoly(tuple(coeffs))
+
+
+def reference_betti_sum_sym(g: int, n: int) -> int:
+    """Reference for ``betti_sum_sym``: every C(2g, k) computed from scratch."""
+    return sum(comb(2 * g, k) * (n - k + 1) for k in range(min(2 * g, n) + 1))
 
 
 @pytest.fixture(scope="session")

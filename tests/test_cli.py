@@ -6,11 +6,12 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
-from msym import ChainComplexF2, betti, build_B, circle, genfun, product
-from msym.cli import main
+from msym import ChainComplexF2, betti, build_B, circle, genfun, mcheck, product
+from msym.cli import MAX_ANSWER_DIGITS, MAX_POLY_DEGREE, main
 
 
 def run(capsys, argv):
@@ -83,6 +84,64 @@ def test_betti_sym_builds_the_polynomial_only_under_poly(capsys, monkeypatch):
     code, out, _ = run(capsys, ["betti-sym", "--g", "3", "--n", "2"])
     assert code == 0
     assert "| 3 | 2 | 30        |" in out
+
+
+def refuse(*args):
+    raise AssertionError("the size rule should have rejected the input first")
+
+
+def assert_size_error(code, out, err, *flags):
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert all(flag in err for flag in flags)
+    assert "set_int_max_str_digits" not in err
+
+
+@pytest.mark.parametrize("argv,flags", [
+    (["betti-sym", "--g", "7500", "--n", "7000"], ["--g 7500 --n 7000"]),
+    (["betti-sym", "--g", "7500", "--n", "7000", "--format", "json"], ["--g 7500 --n 7000"]),
+    (["check-m", "--g", "7200", "--n", "14400", "--format", "json"], ["--g 7200 --n 14400"]),
+])
+def test_betti_sum_too_long_to_print_exits_2_naming_the_flags(capsys, argv, flags):
+    assert_size_error(*run(capsys, argv), *flags, f"{MAX_ANSWER_DIGITS} decimal digits")
+
+
+@pytest.mark.parametrize("argv,flags,expensive", [
+    (["betti-sym", "--g", "20000", "--n", "20000"], ["--g 20000 --n 20000"],
+     (genfun, "betti_sum_sym")),
+    (["check-m", "--g", "100000", "--n", "5000"], ["--g 100000 --n 5000"], (mcheck, "check")),
+    (["check-m", "--sweep", "--gmax", "20000", "--nmax", "30000"], ["--gmax 20000 --nmax 30000"],
+     (mcheck, "sweep")),
+])
+def test_predictably_long_betti_sums_are_rejected_before_any_work(
+        capsys, monkeypatch, argv, flags, expensive):
+    monkeypatch.setattr(*expensive, refuse)
+    assert_size_error(*run(capsys, argv), *flags)
+
+
+def test_answer_length_limit_is_exact(capsys):
+    # at genus 0 the Betti sum is n + 1
+    longest = str(10 ** MAX_ANSWER_DIGITS - 2)
+    code, out, _ = run(capsys, ["betti-sym", "--g", "0", "--n", longest, "--format", "csv"])
+    assert code == 0
+    assert out == f"g,n,betti_sum\n0,{longest},{'9' * MAX_ANSWER_DIGITS}\n"
+    too_long = str(10 ** MAX_ANSWER_DIGITS - 1)
+    assert_size_error(*run(capsys, ["betti-sym", "--g", "0", "--n", too_long]), f"--n {too_long}")
+
+
+def test_poly_degree_above_the_cap_is_rejected_without_allocating(capsys, monkeypatch):
+    code, out, _ = run(capsys, ["betti-sym", "--g", "0", "--n", str(MAX_POLY_DEGREE // 2),
+                                "--poly", "--format", "csv"])
+    assert code == 0 and out.endswith(f"x^{MAX_POLY_DEGREE}\n")
+    monkeypatch.setattr(genfun, "poincare_sym", refuse)
+    tracemalloc.start()
+    try:
+        result = run(capsys, ["betti-sym", "--g", "2", "--n", "100000000", "--poly"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert_size_error(*result, "--n 100000000 with --poly", f"cap of {MAX_POLY_DEGREE}")
+    assert peak < 1 << 20
 
 
 def test_betti_sym_csv(capsys):

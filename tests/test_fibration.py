@@ -86,6 +86,16 @@ def test_t_map_rejects_points_outside_the_triangle():
         t_map(SimplexPoint(Fr(-1, 10), Fr(1, 2)))
 
 
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("d1,d2", [(NAN, 0.2), (0.2, NAN), (NAN, NAN)])
+def test_t_map_rejects_nan_naming_it(d1, d2):
+    # nan fails every comparison, so a test of the form `d < -tol` lets it in
+    with pytest.raises(DomainError, match="nan"):
+        t_map(SimplexPoint(d1, d2))
+
+
 # --- the inverse chart ----------------------------------------------------------
 
 
@@ -132,6 +142,12 @@ def test_t_inverse_rejects_triples_off_the_fiber():
         t_inverse(SymTriple.from_angles(0.1, 0.2, 0.3))
     with pytest.raises(FiberError):
         t_inverse(SymTriple.from_angles(Fr(1, 4), Fr(1, 4), Fr(1, 4)))
+
+
+@pytest.mark.parametrize("angles", [(NAN, NAN, NAN), (NAN, 0.1, 0.2)])
+def test_t_inverse_rejects_nan_naming_it(angles):
+    with pytest.raises((DomainError, FiberError), match="nan"):
+        t_inverse(SymTriple.from_angles(*angles))
 
 
 def test_shift_raises_lift_sum_by_exactly_one():

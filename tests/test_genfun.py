@@ -28,6 +28,8 @@ from msym import (
 )
 from msym.genfun import _as_integer
 
+from conftest import reference_betti_sum_sym, reference_poincare_sym
+
 
 def _mul(a, b, tmax, xmax):
     out = [[0] * (xmax + 1) for _ in range(tmax + 1)]
@@ -77,6 +79,19 @@ def test_poincare_sym_matches_oracle():
     for g in range(6):
         for n in range(8):
             assert list(poincare_sym(g, n).coeffs) == oracle_poincare(g, n), (g, n)
+
+
+def test_running_binomials_match_the_references_up_to_genus_40():
+    for g in range(41):
+        for n in range(91):
+            assert poincare_sym(g, n) == reference_poincare_sym(g, n), (g, n)
+            assert betti_sum_sym(g, n) == reference_betti_sum_sym(g, n), (g, n)
+
+
+@pytest.mark.parametrize("g,n", [(750, 1500), (1500, 1500)])
+def test_running_binomials_match_the_references_at_large_sizes(g, n):
+    assert poincare_sym(g, n) == reference_poincare_sym(g, n)
+    assert betti_sum_sym(g, n) == reference_betti_sum_sym(g, n)
 
 
 def test_betti_sum_examples():
@@ -131,14 +146,14 @@ def test_bundle_formula_fails_just_below_the_range():
         assert betti_sum_sym(g, n) == 4 ** g * (n - g + 1) + 1
 
 
-@given(st.integers(0, 12), st.integers(0, 12))
+@given(st.integers(0, 300), st.integers(0, 300))
 def test_poincare_is_palindromic(g, n):
     p = poincare_sym(g, n)
     assert p.degree == 2 * n
     assert p.is_palindromic()
 
 
-@given(st.integers(0, 12), st.integers(0, 12))
+@given(st.integers(0, 300), st.integers(0, 300))
 def test_poincare_at_one_is_betti_sum(g, n):
     assert poincare_sym(g, n).evaluate(1) == betti_sum_sym(g, n)
 
