@@ -190,25 +190,13 @@ def _cmd_verify_fibration(args) -> int:
     if not (math.isfinite(args.tol) and args.tol > 0):
         print(f"error: --tol {args.tol!r} must be a finite number > 0", file=sys.stderr)
         return 2
-    fiber_tol = args.tol * 1e-3
     report = fibration.run_property_suite(
         samples=args.samples,
         seed=args.seed,
         roundtrip_tol=args.tol,
-        fiber_tol=fiber_tol,
+        fiber_tol=args.tol * 1e-3,
     )
-    checks = [
-        ("roundtrip_max_error", report.max_roundtrip_error, args.tol,
-         report.max_roundtrip_error < args.tol),
-        ("fiber_max_error", report.max_fiber_error, fiber_tol,
-         report.max_fiber_error < fiber_tol),
-        ("boundary_agreement", report.boundary_agreement, 1.0,
-         report.boundary_mismatches == 0),
-        ("section_intersections", report.section_intersections, 1,
-         report.section_intersections == 1),
-        ("fiber_boundary_intersections", report.fiber_boundary_intersections, 2,
-         report.fiber_boundary_intersections == 2),
-    ]
+    checks = report.checks()
     columns = ["check", "value", "required", "passed"]
     rows = [[name, repr(value), repr(req), "yes" if ok else "no"]
             for name, value, req, ok in checks]

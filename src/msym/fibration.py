@@ -63,9 +63,6 @@ class CirclePoint:
     def is_exact(self) -> bool:
         return isinstance(self.s, Fraction)
 
-    def rotated(self, ds: Angle) -> "CirclePoint":
-        return CirclePoint(self.s + ds)
-
     def distance_to(self, other: "CirclePoint"):
         return _circle_dist(self.s, other.s)
 
@@ -101,9 +98,6 @@ class SymTriple:
     @property
     def is_exact(self) -> bool:
         return all(p.is_exact for p in self.pts)
-
-    def rotated(self, ds: Angle) -> "SymTriple":
-        return SymTriple(tuple(p.rotated(ds) for p in self.pts))
 
     def distance_to(self, other: "SymTriple"):
         """Max angle distance under the best cyclic matching.
@@ -162,29 +156,16 @@ def t_map(p: SimplexPoint, *, tol: float = ROUNDTRIP_TOL) -> SymTriple:
     return SymTriple.from_angles(lam, lam + d1, lam + d1 + d2)
 
 
-def shift_lift(lift: tuple) -> tuple:
-    """One step of the lift shift (s1, s2, s3) -> (s2, s3, s1 + 1).
-
-    Preserves the ordering constraint s1 <= s2 <= s3 <= s1 + 1 and raises the
-    lift sum by exactly 1.
-    """
-    s1, s2, s3 = lift
-    return (s2, s3, s1 + 1)
-
-
-def unshift_lift(lift: tuple) -> tuple:
-    """Inverse of :func:`shift_lift`; lowers the lift sum by exactly 1."""
-    s1, s2, s3 = lift
-    return (s3 - 1, s1, s2)
-
-
 def t_inverse(tr: SymTriple, *, tol: float = FIBER_TOL) -> SimplexPoint:
     """Inverse of :func:`t_map` on the fiber over 1.
 
     Among the ordered lifts (s1 <= s2 <= s3 <= s1 + 1) of the triple, related
-    to each other by the shift operation, exactly one has angle sum 0; the
-    result is (s2 - s1, s3 - s2) for that lift.  Raises :class:`FiberError`
-    when the product of the entries is not 1 within tol.
+    to each other by the shift (s1, s2, s3) -> (s2, s3, s1 + 1), exactly one
+    has angle sum 0; the result is (s2 - s1, s3 - s2) for that lift.  The
+    sorted angles lie in [0, 1), so their sum is near an integer k in 0..3,
+    and that lift is k unshifts (s1, s2, s3) -> (s3 - 1, s1, s2) away.
+    Raises :class:`FiberError` when the product of the entries is not 1
+    within tol.
     """
     th = theta(tr)
     if not (_circle_dist(th.s, 0) <= tol):  # a nan angle sum fails too
@@ -199,17 +180,9 @@ def t_inverse(tr: SymTriple, *, tol: float = FIBER_TOL) -> SimplexPoint:
         k = int(sigma)
     else:
         k = round(sigma)
-    steps = 0
-    while k > 0:
-        lift = unshift_lift(lift)
-        k -= 1
-        steps += 1
-        assert steps < 5, "lift normalization did not terminate"
-    while k < 0:
-        lift = shift_lift(lift)
-        k += 1
-        steps += 1
-        assert steps < 5, "lift normalization did not terminate"
+    assert 0 <= k <= 3, "the angles of a triple lie in [0, 1)"
+    s1, s2, s3 = lift
+    lift = (lift, (s3 - 1, s1, s2), (s2 - 1, s3 - 1, s1), (s1 - 1, s2 - 1, s3 - 1))[k]
     d1 = lift[1] - lift[0]
     d2 = lift[2] - lift[1]
     if not exact:
@@ -221,25 +194,13 @@ def t_inverse(tr: SymTriple, *, tol: float = FIBER_TOL) -> SimplexPoint:
     return SimplexPoint(d1, d2)
 
 
-def local_trivialization(
-    mu: CirclePoint, s: Angle, tr: SymTriple, *, tol: float = FIBER_TOL
-) -> SymTriple:
-    """Slide a triple on the fiber over mu to the fiber over mu*e^(2*pi*i*s)
-    by rotating every entry by s/3.  The identity at s = 0."""
-    if not -0.5 < s < 0.5:
-        raise DomainError(f"trivialization parameter {s} outside (-1/2, 1/2)")
-    if theta(tr).distance_to(mu) > tol:
-        raise FiberError(f"triple with angle sum {theta(tr).s} is not on the fiber over {mu.s}")
-    if isinstance(s, Fraction):
-        return tr.rotated(s / 3)
-    return tr.rotated(s / 3.0)
-
-
 def is_boundary_point(p: SimplexPoint, tol: float = ROUNDTRIP_TOL) -> bool:
     """Whether (d1, d2) lies on the triangle edges d1=0, d2=0 or d1+d2=1;
     equivalently, whether :func:`t_map` sends it to a triple with a repeated
-    point."""
+    point.  Raises :class:`DomainError` on a nan coordinate."""
     d1, d2 = p.d1, p.d2
+    if d1 != d1 or d2 != d2:  # only nan differs from itself
+        raise DomainError(f"({d1}, {d2}) has a nan coordinate")
     return bool(abs(d1) <= tol or abs(d2) <= tol or abs(d1 + d2 - 1) <= tol)
 
 
@@ -337,15 +298,24 @@ class FibrationReport:
     def boundary_agreement(self) -> float:
         return 1.0 - self.boundary_mismatches / self.samples
 
+    def checks(self) -> tuple[tuple[str, float | int, float | int, bool], ...]:
+        """The pass rule: one (name, value, required, passed) row per check."""
+        return (
+            ("roundtrip_max_error", self.max_roundtrip_error, self.roundtrip_tol,
+             self.max_roundtrip_error < self.roundtrip_tol),
+            ("fiber_max_error", self.max_fiber_error, self.fiber_tol,
+             self.max_fiber_error < self.fiber_tol),
+            ("boundary_agreement", self.boundary_agreement, 1.0,
+             self.boundary_mismatches == 0),
+            ("section_intersections", self.section_intersections, 1,
+             self.section_intersections == 1),
+            ("fiber_boundary_intersections", self.fiber_boundary_intersections, 2,
+             self.fiber_boundary_intersections == 2),
+        )
+
     @property
     def all_passed(self) -> bool:
-        return (
-            self.max_roundtrip_error < self.roundtrip_tol
-            and self.max_fiber_error < self.fiber_tol
-            and self.boundary_mismatches == 0
-            and self.section_intersections == 1
-            and self.fiber_boundary_intersections == 2
-        )
+        return all(passed for _, _, _, passed in self.checks())
 
 
 def _sample_simplex_point(rng: random.Random, i: int) -> SimplexPoint:

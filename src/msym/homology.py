@@ -270,6 +270,10 @@ class ChainComplexF2(object):
             obj = json.loads(text)
         except json.JSONDecodeError as exc:
             raise CWFormatError(f"invalid JSON: {exc}") from exc
+        except (ValueError, RecursionError) as exc:
+            # an integer longer than int() converts, or nesting deeper than
+            # the decoder's recursion allows
+            raise CWFormatError(f"JSON beyond the decoder's limits: {exc}") from exc
         return cls.from_json_obj(obj)
 
 

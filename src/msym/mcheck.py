@@ -23,7 +23,6 @@ from .genfun import (
 )
 from .homology import BettiVector
 from .realmodels import (
-    RealLocusDecomposition,
     betti_total,
     real_sym2_decomposition,
     real_sym3_decomposition,
@@ -83,32 +82,22 @@ class MVarietyReport:
         )
 
 
-def check(g: int, n: int, decomposition: RealLocusDecomposition | None = None) -> MVarietyReport:
+def check(g: int, n: int) -> MVarietyReport:
     """Compare real and complex mod-2 Betti sums of the n-th symmetric product.
 
     For n = 2, 3 the real side is computed by running the homology engine on
     the CW decomposition of the real locus and cross-checked against the
     piece-count formula; for n >= 2g-1 it comes from the real projective
     bundle over the real locus of the degree-zero line bundle torus.  The
-    range 4 <= n <= 2g-2 is reported as UNSUPPORTED_RANGE.  A caller may
-    supply an explicit decomposition to certify instead; the Smith inequality
-    is enforced as a hard invariant either way.
+    range 4 <= n <= 2g-2 is reported as UNSUPPORTED_RANGE.  The Smith
+    inequality is enforced as a hard invariant on every decided report.
     """
     g = _check_genus(g)
     n = _check_power(n)
 
     complex_sum = betti_sum_sym(g, n)
 
-    if decomposition is not None:
-        if decomposition.g != g or decomposition.n != n:
-            raise ValueError(
-                f"decomposition is for (g={decomposition.g}, n={decomposition.n}), "
-                f"not (g={g}, n={n})"
-            )
-        per_piece = decomposition.betti_by_piece()
-        real_sum = betti_total(per_piece)
-        method = CW_MODELS
-    elif n in (2, 3):
+    if n in (2, 3):
         if n == 2:
             closed, build = closed_form_sym2(g), real_sym2_decomposition
             expected = 2 * g * (g + 1) + 3 + g
@@ -164,7 +153,7 @@ def check(g: int, n: int, decomposition: RealLocusDecomposition | None = None) -
     )
 
 
-def sweep(g_max: int, n_max: int, *, n_min: int = 2) -> list[MVarietyReport]:
-    """Run :func:`check` over the grid g in [0, g_max], n in [n_min, n_max],
+def sweep(g_max: int, n_max: int) -> list[MVarietyReport]:
+    """Run :func:`check` over the grid g in [0, g_max], n in [2, n_max],
     returning the reports sorted by (g, n)."""
-    return [check(g, n) for g in range(g_max + 1) for n in range(n_min, n_max + 1)]
+    return [check(g, n) for g in range(g_max + 1) for n in range(2, n_max + 1)]

@@ -42,8 +42,6 @@ def disc() -> ChainComplexF2:
 class RealLocusDecomposition:
     """Disjoint-union decomposition of a real locus into named CW pieces."""
 
-    n: int
-    g: int
     pieces: tuple[tuple[str, ChainComplexF2, int], ...]
 
     def __post_init__(self):
@@ -174,7 +172,7 @@ def real_sym2_decomposition(g: int) -> RealLocusDecomposition:
     tori = comb(g + 1, 2)
     if tori:
         pieces.append(("torus", product(circle(), circle()), tori))
-    return RealLocusDecomposition(n=2, g=g, pieces=tuple(pieces))
+    return RealLocusDecomposition(pieces=tuple(pieces))
 
 
 def real_sym3_decomposition(g: int) -> RealLocusDecomposition:
@@ -186,4 +184,4 @@ def real_sym3_decomposition(g: int) -> RealLocusDecomposition:
     if tori:
         pieces.append(("3-torus", product(product(circle(), circle()), circle()), tori))
     pieces.append(("B", build_B(g), g + 1))
-    return RealLocusDecomposition(n=3, g=g, pieces=tuple(pieces))
+    return RealLocusDecomposition(pieces=tuple(pieces))

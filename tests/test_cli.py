@@ -195,6 +195,14 @@ def test_homology_bad_dimension_key_exits_2_naming_it(capsys, tmp_path, key):
     assert err.startswith(f'error: cell dimension key "{key}"')
 
 
+def test_homology_deeply_nested_file_exits_2_without_traceback(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000)
+    code, out, err = run(capsys, ["homology", "--file", str(path)])
+    assert code == 2 and out == ""
+    assert err.startswith("error: JSON beyond the decoder's limits") and err.count("\n") == 1
+
+
 def test_homology_missing_file(capsys, tmp_path):
     code, _, err = run(capsys, ["homology", "--file", str(tmp_path / "nope.json")])
     assert code == 2

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from fractions import Fraction as Fr
 from itertools import permutations
 
@@ -20,15 +21,12 @@ from msym import (
     enumerate_diagonal_fiber_boundary_intersections,
     enumerate_diagonal_section_intersections,
     is_boundary_point,
-    local_trivialization,
     on_fiber_boundary_curve,
     on_section_curve,
     run_property_suite,
-    shift_lift,
     t_inverse,
     t_map,
     theta,
-    unshift_lift,
 )
 
 ORIGIN = CirclePoint(0.0)
@@ -112,12 +110,14 @@ def test_t_inverse_by_exhaustive_lift_search():
     candidates = []
     down = lift
     for _ in range(6):
-        down = unshift_lift(down)
+        s1, s2, s3 = down
+        down = (s3 - 1, s1, s2)
         candidates.append(down)
     up = lift
     candidates.append(lift)
     for _ in range(6):
-        up = shift_lift(up)
+        s1, s2, s3 = up
+        up = (s2, s3, s1 + 1)
         candidates.append(up)
     zero_sum = [c for c in candidates if sum(c) == 0]
     assert len(zero_sum) == 1
@@ -150,15 +150,6 @@ def test_t_inverse_rejects_nan_naming_it(angles):
         t_inverse(SymTriple.from_angles(*angles))
 
 
-def test_shift_raises_lift_sum_by_exactly_one():
-    lift = (Fr(-1, 3), Fr(0), Fr(1, 3))
-    up = shift_lift(lift)
-    assert sum(up) == sum(lift) + 1
-    assert unshift_lift(up) == lift
-    # ordering constraint s1 <= s2 <= s3 <= s1 + 1 is preserved
-    assert up[0] <= up[1] <= up[2] <= up[0] + 1
-
-
 @given(st.floats(0, 1), st.floats(0, 1))
 def test_roundtrip_property(u, v):
     if u + v > 1:
@@ -173,40 +164,6 @@ def test_roundtrip_at_the_corners():
         assert t_inverse(t_map(SimplexPoint(d1, d2))).as_tuple() == (d1, d2)
 
 
-# --- local trivialization ---------------------------------------------------------
-
-
-def test_local_trivialization_examples():
-    one = SymTriple.from_angles(0.0, 0.0, 0.0)
-    assert local_trivialization(CirclePoint(0.0), 0.0, one).angles() == (0.0, 0.0, 0.0)
-    moved = local_trivialization(CirclePoint(0.0), 0.3, one)
-    assert max(abs(a - 0.1) for a in moved.angles()) < 1e-12
-    assert abs(theta(moved).s - 0.3) < 1e-12
-    back = local_trivialization(CirclePoint(0.0), -0.3, one)
-    assert max(abs(a - 0.9) for a in back.angles()) < 1e-12
-    assert abs(theta(back).s - 0.7) < 1e-12
-
-
-def test_local_trivialization_moves_fibers():
-    rng = random.Random(11)
-    for _ in range(100):
-        u, v = rng.random(), rng.random()
-        if u + v > 1:
-            u, v = 1 - u, 1 - v
-        tr = t_map(SimplexPoint(u, v))
-        s = rng.random() - 0.5
-        out = local_trivialization(ORIGIN, s, tr)
-        assert theta(out).distance_to(CirclePoint(s)) < 1e-9
-
-
-def test_local_trivialization_errors():
-    one = SymTriple.from_angles(0.0, 0.0, 0.0)
-    with pytest.raises(DomainError):
-        local_trivialization(ORIGIN, 0.7, one)
-    with pytest.raises(FiberError):
-        local_trivialization(CirclePoint(0.25), 0.1, one)
-
-
 # --- boundary characterization ------------------------------------------------------
 
 
@@ -214,6 +171,12 @@ def test_boundary_examples():
     assert is_boundary_point(SimplexPoint(0, 0.4))
     assert not is_boundary_point(SimplexPoint(0.2, 0.3))
     assert is_boundary_point(SimplexPoint(0.5, 0.5))
+
+
+@pytest.mark.parametrize("d1,d2", [(NAN, 0.2), (0.2, NAN), (NAN, NAN)])
+def test_boundary_test_rejects_nan_naming_it(d1, d2):
+    with pytest.raises(DomainError, match="nan"):
+        is_boundary_point(SimplexPoint(d1, d2))
 
 
 def test_boundary_matches_repeated_points():
@@ -329,6 +292,21 @@ def test_property_suite_passes():
     assert report.section_intersections == 1
     assert report.fiber_boundary_intersections == 2
     assert report.all_passed
+
+
+@pytest.mark.parametrize("field,value,failing", [
+    ("max_roundtrip_error", 1e-9, "roundtrip_max_error"),
+    ("max_fiber_error", 1e-12, "fiber_max_error"),
+    ("boundary_mismatches", 1, "boundary_agreement"),
+    ("section_intersections", 2, "section_intersections"),
+    ("fiber_boundary_intersections", 1, "fiber_boundary_intersections"),
+])
+def test_each_check_fails_the_report_on_its_own(field, value, failing):
+    report = run_property_suite(samples=100, seed=1)
+    assert [row[0] for row in report.checks() if not row[3]] == []
+    bad = replace(report, **{field: value})
+    assert [row[0] for row in bad.checks() if not row[3]] == [failing]
+    assert not bad.all_passed
 
 
 def test_property_suite_is_seeded():

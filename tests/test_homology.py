@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+import sys
 
 import pytest
 from conftest import (
@@ -19,6 +20,8 @@ from conftest import (
     with_elementary_expansions,
     without_labels,
 )
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from msym import (
     BitMatrixF2,
@@ -480,6 +483,67 @@ def test_json_rejects_two_keys_for_one_dimension():
     text = '{"cells": {"0": ["v"], "1": ["a"], "01": ["b"]}}'
     with pytest.raises(CWFormatError, match='"01" repeats dimension 1'):
         ChainComplexF2.from_json(text)
+
+
+@pytest.mark.parametrize("text", [
+    "[" * 200_000,
+    '{"cells": ' * 200_000,
+    '{"cells": {"0": [' + "1" * 5000 + "]}}",
+], ids=["deep-array", "deep-object", "long-integer"])
+def test_json_beyond_the_decoder_limits_is_a_format_error(text):
+    with pytest.raises(CWFormatError, match="beyond the decoder's limits"):
+        ChainComplexF2.from_json(text)
+
+
+_IDS = st.sampled_from(["v", "w", "e", "f", "t"])
+_ANY_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _IDS | st.text(max_size=3),
+    lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(_IDS | st.text(max_size=3), kids, max_size=3),
+    max_leaves=12,
+)
+_ID_LISTS = st.lists(_IDS, max_size=4) | _ANY_JSON
+_CW_SHAPED = st.fixed_dictionaries({}, optional={
+    "cells": st.dictionaries(
+        st.sampled_from(["0", "1", "2", "3", "01", "-1", "x", str(MAX_CELL_DIM + 1)]),
+        _ID_LISTS, max_size=4,
+    ) | _ANY_JSON,
+    "boundary": st.dictionaries(_IDS, _ID_LISTS, max_size=5) | _ANY_JSON,
+    "labels": st.dictionaries(st.text(max_size=2), _ID_LISTS, max_size=2) | _ANY_JSON,
+    "junk": _ANY_JSON,
+})
+
+
+def _faces(*ids):
+    return st.lists(st.sampled_from(ids), unique=True)
+
+
+# a two-vertex, two-edge, one-face complex with random boundaries and labels:
+# valid often enough that the accepting path is fuzzed as well
+_NEAR_VALID = st.fixed_dictionaries({
+    "cells": st.just({"0": ["v", "w"], "1": ["e", "f"], "2": ["t"]}),
+    "boundary": st.fixed_dictionaries({
+        "e": _faces("v", "w"), "f": _faces("v", "w"), "t": _faces("e", "f"),
+    }),
+    "labels": st.dictionaries(st.sampled_from(["L", "M"]), _faces("v", "w", "e", "t"), max_size=2),
+})
+# nesting far past the recursion limit, and integers past int()'s digit limit
+_BEYOND_LIMITS = st.builds(
+    lambda opener, depth: opener * depth,
+    st.sampled_from(["[", '{"cells": ', '{"cells": {"0": ']),
+    st.integers(sys.getrecursionlimit(), 100_000),
+) | st.builds(lambda k: '{"cells": {"0": [' + "7" * k + "]}}", st.integers(4301, 6000))
+
+
+@settings(max_examples=250, deadline=None)
+@given(st.one_of(_NEAR_VALID.map(json.dumps), _CW_SHAPED.map(json.dumps),
+                 _ANY_JSON.map(json.dumps), _BEYOND_LIMITS, st.text(max_size=20)))
+def test_from_json_parses_or_raises_only_cw_format_error(text):
+    try:
+        cw = ChainComplexF2.from_json(text)
+    except CWFormatError:
+        return
+    assert ChainComplexF2.from_json(cw.to_json()).to_json_obj() == cw.to_json_obj()
 
 
 def test_double_boundary_is_zero_everywhere(zoo):

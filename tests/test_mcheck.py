@@ -10,11 +10,10 @@ from msym import (
     M_VARIETY,
     STRICT_INEQUALITY,
     UNSUPPORTED_RANGE,
-    RealLocusDecomposition,
     SmithViolationError,
+    betti_sum_sym,
     check,
-    circle,
-    product,
+    mcheck,
     sweep,
 )
 
@@ -70,25 +69,24 @@ def test_check_rejects_negative_power():
         check(1, -2)
 
 
-def test_user_decomposition_strict_inequality():
-    dec = RealLocusDecomposition(n=2, g=1, pieces=(("loop", circle(), 1),))
-    rep = check(1, 2, decomposition=dec)
-    assert rep.real_sum == 2
+# (1, 5) is decided by the bundle formula alone, so a real side shifted by one
+# reaches the verdict logic with no other route to catch it first
+
+
+def test_user_decomposition_strict_inequality(monkeypatch):
+    complex_sum = betti_sum_sym(1, 5)
+    monkeypatch.setattr(mcheck, "betti_sum_large_n", lambda g, n: complex_sum - 1)
+    rep = check(1, 5)
+    assert rep.real_sum == complex_sum - 1
     assert rep.verdict == STRICT_INEQUALITY
-    assert rep.method == CW_MODELS
+    assert rep.method == BUNDLE_FORMULA
 
 
-def test_user_decomposition_smith_violation_aborts():
-    torus = product(circle(), circle())
-    dec = RealLocusDecomposition(n=2, g=1, pieces=(("torus", torus, 5),))
+def test_user_decomposition_smith_violation_aborts(monkeypatch):
+    complex_sum = betti_sum_sym(1, 5)
+    monkeypatch.setattr(mcheck, "betti_sum_large_n", lambda g, n: complex_sum + 1)
     with pytest.raises(SmithViolationError, match="exceeds"):
-        check(1, 2, decomposition=dec)
-
-
-def test_user_decomposition_must_match_parameters():
-    dec = RealLocusDecomposition(n=2, g=1, pieces=(("loop", circle(), 1),))
-    with pytest.raises(ValueError, match="decomposition is for"):
-        check(2, 2, decomposition=dec)
+        check(1, 5)
 
 
 def test_smith_inequality_holds_across_sweep():

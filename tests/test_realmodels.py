@@ -197,7 +197,7 @@ def test_decomposition_piece_formula():
 
 def test_decomposition_rejects_zero_multiplicity():
     with pytest.raises(ValueError, match="multiplicity"):
-        RealLocusDecomposition(n=2, g=0, pieces=(("loop", circle(), 0),))
+        RealLocusDecomposition(pieces=(("loop", circle(), 0),))
 
 
 def test_betti_by_piece_reports_vectors():
