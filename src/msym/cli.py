@@ -6,7 +6,8 @@ pair) or malformed input files, and 141 (128 + SIGPIPE, what a shell
 reports for a process killed by a closed pipe) with no traceback when the
 reader of stdout closes it before all output is written.  An input whose
 answer is too large to print exits 2 as a bad argument (see
-``MAX_ANSWER_DIGITS``).  Output is
+``MAX_ANSWER_DIGITS``), and so does a genus above ``MAX_MODEL_GENUS`` for
+the commands that build CW models.  Output is
 byte-deterministic for fixed flags and seed; sweep rows come out sorted by
 (g, n).
 """
@@ -58,6 +59,19 @@ def _emit(columns, rows, json_obj, fmt, file=None):
 # checked on the computed sum.
 MAX_ANSWER_DIGITS = 4300
 MAX_POLY_DEGREE = 4000
+# The smallest sum too long to print, and its bit length.  Building the
+# 14,285-bit power costs about 70 us, a quarter of a small op, so it is built
+# once here rather than on each call.
+_ANSWER_LIMIT = 10 ** MAX_ANSWER_DIGITS
+_ANSWER_LIMIT_BITS = _ANSWER_LIMIT.bit_length()
+
+# The genus cap for the commands that build the CW models Y(g), B(g) and the
+# half surface: check-m with n = 2, 3 (single checks and --gmax of a sweep),
+# real-betti and export-model half|Y|B.  Model size is linear in g, and the
+# answer is a cubic in g, so the size rule does not bound it.  At the cap,
+# check-m --n 3 takes about 3 s and 190 MiB (Python 3.11.7, one core of a
+# 2-core Intel Xeon); a seven-digit --g would need gigabytes.
+MAX_MODEL_GENUS = 10_000
 
 
 def _sum_too_long(g: int, n: int) -> bool:
@@ -69,7 +83,7 @@ def _sum_too_long(g: int, n: int) -> bool:
     if k <= 0:
         return False
     low_bits = k * ((2 * g // k).bit_length() - 1) + (n - k + 1).bit_length() - 1
-    return low_bits >= (10 ** MAX_ANSWER_DIGITS).bit_length()
+    return low_bits >= _ANSWER_LIMIT_BITS
 
 
 def _reject_size(flags: str) -> int:
@@ -78,12 +92,18 @@ def _reject_size(flags: str) -> int:
     return 2
 
 
+def _reject_genus(flag: str, g: int) -> int:
+    print(f"error: {flag} {g} is above the model genus cap of {MAX_MODEL_GENUS}",
+          file=sys.stderr)
+    return 2
+
+
 def _cmd_betti_sym(args) -> int:
     flags = f"--g {args.g} --n {args.n}"
     if _sum_too_long(args.g, args.n):
         return _reject_size(flags)
     total = genfun.betti_sum_sym(args.g, args.n)
-    if total >= 10 ** MAX_ANSWER_DIGITS:
+    if total >= _ANSWER_LIMIT:
         return _reject_size(flags)
     if args.poly and 2 * args.n > MAX_POLY_DEGREE:
         print(f"error: --n {args.n} with --poly: the Poincare polynomial has degree "
@@ -95,13 +115,16 @@ def _cmd_betti_sym(args) -> int:
     if args.poly:
         poly = genfun.poincare_sym(args.g, args.n)
         columns.append("poincare")
-        row.append(str(poly))
         obj["poincare"] = list(poly.coeffs)
+        if args.format != "json":  # json prints obj; only the tables read row
+            row.append(str(poly))
     _emit(columns, [row], obj, args.format)
     return 0
 
 
 def _cmd_real_betti(args) -> int:
+    if args.g > MAX_MODEL_GENUS:
+        return _reject_genus("--g", args.g)
     if args.n == 2:
         dec = realmodels.real_sym2_decomposition(args.g)
     else:
@@ -128,6 +151,11 @@ def _cmd_real_betti(args) -> int:
 
 def _cmd_check_m(args) -> int:
     if args.sweep:
+        for flag, value in (("--g", args.g), ("--n", args.n)):
+            if value is not None:
+                print(f"error: {flag} is not used with --sweep; use --gmax and --nmax",
+                      file=sys.stderr)
+                return 2
         if args.gmax is None or args.nmax is None:
             print("error: --sweep requires --gmax and --nmax", file=sys.stderr)
             return 2
@@ -139,18 +167,27 @@ def _cmd_check_m(args) -> int:
         flags = f"--gmax {args.gmax} --nmax {args.nmax}"
         if _sum_too_long(args.gmax, args.nmax):
             return _reject_size(flags)
+        # every sweep checks n = 2, which builds a model, at each genus
+        if args.gmax > MAX_MODEL_GENUS:
+            return _reject_genus("--gmax", args.gmax)
         reports = mcheck.sweep(args.gmax, args.nmax)
     else:
+        for flag, value in (("--gmax", args.gmax), ("--nmax", args.nmax)):
+            if value is not None:
+                print(f"error: {flag} is not used without --sweep", file=sys.stderr)
+                return 2
         if args.g is None or args.n is None:
             print("error: provide --g and --n, or --sweep", file=sys.stderr)
             return 2
         flags = f"--g {args.g} --n {args.n}"
         if _sum_too_long(args.g, args.n):
             return _reject_size(flags)
+        if args.n in (2, 3) and args.g > MAX_MODEL_GENUS:
+            return _reject_genus("--g", args.g)
         reports = [mcheck.check(args.g, args.n)]
     # The Betti sum grows with g and n, so the last row has the longest
     # complex sum, and no real sum exceeds it (Smith inequality).
-    if reports[-1].complex_sum >= 10 ** MAX_ANSWER_DIGITS:
+    if reports[-1].complex_sum >= _ANSWER_LIMIT:
         return _reject_size(flags)
     for rep in reports:
         if rep.verdict == mcheck.UNSUPPORTED_RANGE:
@@ -217,9 +254,12 @@ _MODEL_NEEDS_GENUS = {"half", "Y", "B"}
 
 
 def _cmd_export_model(args) -> int:
-    if args.name in _MODEL_NEEDS_GENUS and args.g is None:
-        print(f"error: model {args.name} requires --g", file=sys.stderr)
-        return 2
+    if args.name in _MODEL_NEEDS_GENUS:
+        if args.g is None:
+            print(f"error: model {args.name} requires --g", file=sys.stderr)
+            return 2
+        if args.g > MAX_MODEL_GENUS:
+            return _reject_genus("--g", args.g)
     if args.name == "half":
         cw = realmodels.build_half_surface(args.g)
     elif args.name == "Y":

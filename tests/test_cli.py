@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -10,8 +11,9 @@ import tracemalloc
 
 import pytest
 
-from msym import ChainComplexF2, betti, build_B, circle, genfun, mcheck, product
-from msym.cli import MAX_ANSWER_DIGITS, MAX_POLY_DEGREE, main
+from msym import (ChainComplexF2, betti, build_B, circle, genfun, mcheck, product,
+                  realmodels)
+from msym.cli import MAX_ANSWER_DIGITS, MAX_MODEL_GENUS, MAX_POLY_DEGREE, main
 
 
 def run(capsys, argv):
@@ -50,6 +52,18 @@ def test_check_m_empty_sweep_is_rejected(capsys, gmax, nmax, bad):
     assert err.startswith("error:") and bad in err
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["check-m", "--sweep", "--gmax", "3", "--nmax", "3", "--g", "5"], "--g"),
+    (["check-m", "--sweep", "--gmax", "3", "--nmax", "3", "--n", "5"], "--n"),
+    (["check-m", "--g", "1", "--n", "2", "--gmax", "3"], "--gmax"),
+    (["check-m", "--g", "1", "--n", "2", "--nmax", "3"], "--nmax"),
+])
+def test_check_m_rejects_flags_its_mode_ignores(capsys, argv, flag):
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {flag} is not used") and err.count("\n") == 1
+
+
 def test_check_m_requires_arguments(capsys):
     code, _, err = run(capsys, ["check-m"])
     assert code == 2
@@ -84,6 +98,47 @@ def test_betti_sym_builds_the_polynomial_only_under_poly(capsys, monkeypatch):
     code, out, _ = run(capsys, ["betti-sym", "--g", "3", "--n", "2"])
     assert code == 0
     assert "| 3 | 2 | 30        |" in out
+
+
+def test_betti_sym_poly_json_does_not_format_the_polynomial(capsys, monkeypatch):
+    def refuse(self):
+        raise AssertionError("GradedPoly.__str__ called for json output")
+
+    monkeypatch.setattr(genfun.GradedPoly, "__str__", refuse)
+    code, out, _ = run(capsys, ["betti-sym", "--g", "2", "--n", "3", "--poly", "--format", "json"])
+    assert code == 0
+    assert json.loads(out)["poincare"] == [1, 4, 7, 8, 7, 4, 1]
+
+
+# stdout of betti-sym --poly before the json path stopped formatting the
+# polynomial, byte for byte at (2, 3) and as (length, sha256) at (40, 90)
+BETTI_SYM_POLY_2_3 = {
+    "json": (
+        '{\n  "g": 2,\n  "n": 3,\n  "betti_sum": 32,\n  "poincare": [\n    1,\n    4,\n'
+        '    7,\n    8,\n    7,\n    4,\n    1\n  ]\n}\n'
+    ),
+    "csv": "g,n,betti_sum,poincare\n2,3,32,1 + 4x + 7x^2 + 8x^3 + 7x^4 + 4x^5 + x^6\n",
+    "md": (
+        "| g | n | betti_sum | poincare                                 |\n"
+        "| - | - | --------- | ---------------------------------------- |\n"
+        "| 2 | 3 | 32        | 1 + 4x + 7x^2 + 8x^3 + 7x^4 + 4x^5 + x^6 |\n"
+    ),
+}
+BETTI_SYM_POLY_40_90 = {
+    "json": (4942, "a4c0bcf91cb55e66651b1a96875f992bf03599e95045f42fc79300307f0a3a96"),
+    "csv": (5154, "86e12d4eed213580d3a0baed83efd470bb8668d2f830ce05dc4bbb1543e4ff63"),
+    "md": (15423, "08d18d6b136b84f04ab897ef6e7fa435d38671d9b989199aa6ba98b1f692bdb1"),
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(BETTI_SYM_POLY_2_3))
+def test_betti_sym_poly_output_is_pinned(capsys, fmt):
+    argv = ["betti-sym", "--g", "2", "--n", "3", "--poly", "--format", fmt]
+    assert run(capsys, argv) == (0, BETTI_SYM_POLY_2_3[fmt], "")
+    code, out, err = run(capsys, ["betti-sym", "--g", "40", "--n", "90", "--poly", "--format", fmt])
+    data = out.encode()
+    assert (code, err) == (0, "")
+    assert (len(data), hashlib.sha256(data).hexdigest()) == BETTI_SYM_POLY_40_90[fmt]
 
 
 def refuse(*args):
@@ -142,6 +197,36 @@ def test_poly_degree_above_the_cap_is_rejected_without_allocating(capsys, monkey
         tracemalloc.stop()
     assert_size_error(*result, "--n 100000000 with --poly", f"cap of {MAX_POLY_DEGREE}")
     assert peak < 1 << 20
+
+
+def refuse_model(g):
+    raise AssertionError("the genus cap should have rejected the input first")
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["check-m", "--g", str(MAX_MODEL_GENUS + 1), "--n", "3"], "--g"),
+    (["check-m", "--g", str(MAX_MODEL_GENUS + 1), "--n", "2", "--format", "json"], "--g"),
+    (["check-m", "--sweep", "--gmax", str(MAX_MODEL_GENUS + 1), "--nmax", "2"], "--gmax"),
+    (["real-betti", "--g", str(MAX_MODEL_GENUS + 1), "--n", "2"], "--g"),
+    (["export-model", "--name", "half", "--g", str(MAX_MODEL_GENUS + 1)], "--g"),
+    (["export-model", "--name", "Y", "--g", str(MAX_MODEL_GENUS + 1)], "--g"),
+    (["export-model", "--name", "B", "--g", str(MAX_MODEL_GENUS + 1)], "--g"),
+])
+def test_model_genus_above_the_cap_is_rejected_before_building(capsys, monkeypatch, argv, flag):
+    for name in ("build_half_surface", "build_Y", "build_B"):
+        monkeypatch.setattr(realmodels, name, refuse_model)
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err == (f"error: {flag} {MAX_MODEL_GENUS + 1} is above the model genus cap of "
+                   f"{MAX_MODEL_GENUS}\n")
+
+
+def test_model_genus_cap_leaves_other_powers_alone(capsys):
+    # n >= 4 builds no model, so the cap does not apply
+    code, out, _ = run(capsys, ["check-m", "--g", str(MAX_MODEL_GENUS + 1), "--n", "5",
+                                "--format", "csv"])
+    assert code == 0 and ",UNSUPPORTED_RANGE," in out
+    assert MAX_MODEL_GENUS > 96  # the largest genus the certify benchmark checks
 
 
 def test_betti_sym_csv(capsys):
