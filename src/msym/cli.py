@@ -7,9 +7,9 @@ reports for a process killed by a closed pipe) with no traceback when the
 reader of stdout closes it before all output is written.  An input whose
 answer is too large to print exits 2 as a bad argument (see
 ``MAX_ANSWER_DIGITS``), and so does a genus above ``MAX_MODEL_GENUS`` for
-the commands that build CW models.  Output is
-byte-deterministic for fixed flags and seed; sweep rows come out sorted by
-(g, n).
+the commands that build CW models, or a sweep ``--gmax`` above
+``MAX_SWEEP_GENUS``.  Output is byte-deterministic for fixed flags and
+seed; sweep rows come out sorted by (g, n).
 """
 
 from __future__ import annotations
@@ -72,6 +72,11 @@ _ANSWER_LIMIT_BITS = _ANSWER_LIMIT.bit_length()
 # check-m --n 3 takes about 3 s and 190 MiB (Python 3.11.7, one core of a
 # 2-core Intel Xeon); a seven-digit --g would need gigabytes.
 MAX_MODEL_GENUS = 10_000
+# The --gmax cap of check-m --sweep.  A sweep checks n = 2 and 3 on a model
+# at every genus up to --gmax, so its time grows with the square of --gmax:
+# --sweep --gmax 400 --nmax 3 takes about 9-10 s (Python 3.11.7, one core of
+# a 2-core Intel Xeon), where the model cap alone would admit hours.
+MAX_SWEEP_GENUS = 400
 
 
 def _sum_too_long(g: int, n: int) -> bool:
@@ -170,6 +175,10 @@ def _cmd_check_m(args) -> int:
         # every sweep checks n = 2, which builds a model, at each genus
         if args.gmax > MAX_MODEL_GENUS:
             return _reject_genus("--gmax", args.gmax)
+        if args.gmax > MAX_SWEEP_GENUS:
+            print(f"error: --gmax {args.gmax} is above the sweep genus cap of {MAX_SWEEP_GENUS}",
+                  file=sys.stderr)
+            return 2
         reports = mcheck.sweep(args.gmax, args.nmax)
     else:
         for flag, value in (("--gmax", args.gmax), ("--nmax", args.nmax)):

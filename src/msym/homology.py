@@ -1,25 +1,25 @@
 """Finite CW/chain complexes over the field with two elements.
 
-A complex stores, per dimension, an ordered list of string cell identifiers,
-and for every cell of positive dimension the *set* of faces that appear with
-odd incidence (mod-2 boundaries carry no signs and no multiplicities).  The
-boundary-of-boundary condition is checked at construction time, so every
-value of :class:`ChainComplexF2` in circulation is a valid chain complex.
+A complex stores its cells by position: per dimension a tuple of string
+cell ids, whose order gives each cell its position; per cell the set of
+positions, one dimension down, of its faces with odd incidence (mod-2
+boundaries carry no signs and no multiplicities); per label the
+(dimension, position) pairs of its members.  Names are resolved once, on
+construction, and read back only on output.  The constructor checks the
+boundary of the boundary and the closure of labels on positions, so every
+:class:`ChainComplexF2` in circulation is a valid chain complex.
 
-Betti numbers are computed by Gaussian elimination over GF(2) on bit-packed
-boundary matrices: one arbitrary-precision Python integer per matrix row,
-eliminated with word-level XOR.
-
-Larger complexes are built with :func:`product` and :func:`glue`.
-``glue(a, attachments)`` attaches a whole sequence of
-``(la, b, lb, match, prefix)`` attachments to the base complex a: it checks
-each match against a and validates the result once, so attaching g pieces
-in one call costs time linear in the size of the result.
+Betti numbers come from Gaussian elimination over GF(2) on boundary
+matrices read off the stored positions, one Python int per row.
+:func:`product` and :func:`glue` compute the positions of their result
+directly and, since valid inputs give a valid result, check only its ids;
+``glue`` attaches many pieces in time linear in the result.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import chain, repeat
 from typing import Iterable, Mapping
 
 BettiVector = tuple[int, ...]
@@ -48,6 +48,15 @@ class EulerCharacteristicMismatch(ArithmeticError):
 MAX_CELL_DIM = 64
 
 
+def _sum(faces: tuple[frozenset[int], ...], cells: Iterable[int]) -> set[int]:
+    """Boundary of a chain: the face positions met an odd number of times
+    among ``faces[i]`` for i in ``cells``."""
+    odd: set[int] = set()
+    for i in cells:
+        odd ^= faces[i]
+    return odd
+
+
 class BitMatrixF2(object):
     """Dense matrix over GF(2); each row is one Python int used as a bitmask.
 
@@ -60,14 +69,14 @@ class BitMatrixF2(object):
     __slots__ = ("rows", "ncols")
 
     def __init__(self, rows: Iterable[int], ncols: int):
-        self.rows = tuple(int(r) for r in rows)
+        self.rows = tuple(map(int, rows))
         self.ncols = int(ncols)
         if self.ncols < 0:
             raise ValueError("ncols must be nonnegative")
         limit = 1 << self.ncols
-        for i, r in enumerate(self.rows):
-            if r < 0 or r >= limit:
-                raise ValueError(f"row {i} does not fit in {self.ncols} columns")
+        if self.rows and (min(self.rows) < 0 or max(self.rows) >= limit):
+            i = next(i for i, r in enumerate(self.rows) if r < 0 or r >= limit)
+            raise ValueError(f"row {i} does not fit in {self.ncols} columns")
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -89,9 +98,13 @@ class BitMatrixF2(object):
 
 
 class ChainComplexF2(object):
-    """Immutable finite chain complex over GF(2) with labeled subcomplexes."""
+    """Immutable finite chain complex over GF(2) with labeled subcomplexes,
+    built from cell ids; of several faults, the first in input order is
+    reported.  Stored: ``_cells[d]``, the d-cell ids; ``_index[d]``, d-cell
+    id -> position; ``_faces[d][i]``, the face positions of the i-th d-cell;
+    ``_labels``, name -> set of (dimension, position) pairs."""
 
-    __slots__ = ("_cells", "_boundary", "_labels", "_dims")
+    __slots__ = ("_cells", "_index", "_faces", "_labels")
 
     def __init__(
         self,
@@ -104,72 +117,100 @@ class ChainComplexF2(object):
             d = int(dim)
             if d < 0:
                 raise InvalidComplexError(f"negative cell dimension {d}")
-            by_dim[d] = tuple(str(i) for i in ids)
+            by_dim[d] = tuple(map(str, ids))
         top = max((d for d, ids in by_dim.items() if ids), default=-1)
-        self._cells = {d: by_dim.get(d, ()) for d in range(top + 1)}
+        dims = self._set_cells(tuple(by_dim.get(d, ()) for d in range(top + 1)))
+        index = self._index
+        # lookups[d] finds a position among the (d - 1)-cells; there are none for d = 0
+        lookups = [{}.__getitem__] + [ix.__getitem__ for ix in index]
+        faces = [[frozenset()] * len(ids) for ids in self._cells]
+        for cid, face_ids in boundary.items():
+            try:
+                n = len(face_ids)  # before any id is read, so an iterator reaches _resolve whole
+                d = dims[cid]
+                i = index[d][cid]
+                pos = frozenset(map(lookups[d], face_ids))
+            except (KeyError, TypeError):  # a fault, ids that are not str, or an iterator
+                pos = None
+            if pos is None or len(pos) != n:
+                d, i, pos = self._resolve(cid, face_ids)
+            faces[d][i] = pos
+        self._faces = tuple(map(tuple, faces))
 
-        dims: dict[str, int] = {}
-        for d in range(top + 1):
-            for cid in self._cells[d]:
-                if not cid:
-                    raise InvalidComplexError("empty cell identifier")
-                if cid in dims:
-                    raise InvalidComplexError(f'duplicate cell id "{cid}"')
-                dims[cid] = d
-        self._dims = dims
+        bad = {(d, i): odd for d in range(2, top + 1)
+               for i, fs in enumerate(faces[d]) if (odd := _sum(faces[d - 1], fs))}
+        if bad:
+            cid = next(cid for cid in map(str, boundary) if self._locate(cid) in bad)
+            d, i = self._locate(cid)
+            names = sorted(map(self._cells[d - 2].__getitem__, bad[d, i]))
+            raise InvalidComplexError(f'cell "{cid}": boundary of boundary is {names}, not zero')
 
-        bnd: dict[str, frozenset[str]] = {}
-        for cid, faces in boundary.items():
-            cid = str(cid)
-            if cid not in dims:
-                raise InvalidComplexError(f'boundary given for unknown cell "{cid}"')
-            face_list = [str(f) for f in faces]
-            face_set = frozenset(face_list)
-            if len(face_set) != len(face_list):
-                raise InvalidComplexError(
-                    f'cell "{cid}": repeated face (mod-2 boundaries must be pre-reduced)'
-                )
-            d = dims[cid]
-            if d == 0:
-                if face_set:
-                    raise InvalidComplexError(f'0-cell "{cid}" cannot have a boundary')
-                continue
-            for f in face_set:
-                if f not in dims:
-                    raise InvalidComplexError(f'cell "{cid}": unknown face "{f}"')
-                if dims[f] != d - 1:
-                    raise InvalidComplexError(
-                        f'cell "{cid}": face "{f}" has dimension {dims[f]}, expected {d - 1}'
-                    )
-            bnd[cid] = face_set
-        for d in range(1, top + 1):
-            for cid in self._cells[d]:
-                bnd.setdefault(cid, frozenset())
-        self._boundary = bnd
-
-        for cid, faces in bnd.items():
-            if dims[cid] >= 2:
-                acc: set[str] = set()
-                for f in faces:
-                    acc ^= bnd[f]
-                if acc:
-                    raise InvalidComplexError(
-                        f'cell "{cid}": boundary of boundary is {sorted(acc)}, not zero'
-                    )
-
-        labs: dict[str, frozenset[str]] = {}
+        self._labels = {}
         for name, ids in (labels or {}).items():
-            name = str(name)
-            members = frozenset(str(i) for i in ids)
-            for cid in members:
-                if cid not in dims:
-                    raise InvalidComplexError(f'label "{name}": unknown cell "{cid}"')
-                if dims[cid] >= 1 and not bnd[cid] <= members:
-                    raise InvalidComplexError(
-                        f'label "{name}": not closed under boundary at cell "{cid}"'
-                    )
-            labs[name] = members
-        self._labels = labs
+            name, ids = str(name), tuple(map(str, ids))
+            try:
+                label = frozenset((dims[c], index[dims[c]][c]) for c in ids)
+            except KeyError:
+                label = None
+            if label is None or not label.issuperset([(d - 1, f) for d, i in label
+                                                      if d for f in faces[d][i]]):
+                cid = next(c for c in ids if c not in dims or not self.boundary_of(c) <= set(ids))
+                fault = "not closed under boundary at" if cid in dims else "unknown"
+                raise InvalidComplexError(f'label "{name}": {fault} cell "{cid}"')
+            self._labels[name] = label
+
+    def _set_cells(self, cells: tuple[tuple[str, ...], ...]) -> dict[str, int]:
+        """Store and index the cell ids, and return each id's dimension; raise
+        on the first empty or repeated id."""
+        dims: dict[str, int] = {}
+        for d, ids in enumerate(cells):
+            dims.update(zip(ids, repeat(d)))
+        if len(dims) != sum(map(len, cells)) or "" in dims:
+            seen: set[str] = set()  # the first empty id, or the first id seen before
+            cid = next(c for c in chain.from_iterable(cells) if not c or c in seen or seen.add(c))
+            raise InvalidComplexError(f'duplicate cell id "{cid}"' if cid else "empty cell identifier")
+        self._cells = cells
+        self._index = tuple(dict(zip(ids, range(len(ids)))) for ids in cells)
+        return dims
+
+    def _locate(self, cid: str) -> tuple[int, int]:
+        """Dimension and position of a cell id; KeyError if there is none."""
+        for d, ix in enumerate(self._index):
+            if cid in ix:
+                return d, ix[cid]
+        raise KeyError(cid)
+
+    def _resolve(self, cid, face_ids) -> tuple[int, int, frozenset[int]]:
+        """Dimension, position and face positions of one boundary entry, with
+        every id taken as str; raises on its first fault in input order."""
+        cid = str(cid)
+        if cid not in self:
+            raise InvalidComplexError(f'boundary given for unknown cell "{cid}"')
+        d, i = self._locate(cid)
+        face_ids = [str(f) for f in face_ids]
+        if len(set(face_ids)) != len(face_ids):
+            raise InvalidComplexError(f'cell "{cid}": repeated face (mod-2 boundaries must be pre-reduced)')
+        if d == 0 and face_ids:
+            raise InvalidComplexError(f'0-cell "{cid}" cannot have a boundary')
+        for f in face_ids:
+            if f not in self:
+                raise InvalidComplexError(f'cell "{cid}": unknown face "{f}"')
+            if self.dim_of(f) != d - 1:
+                raise InvalidComplexError(f'cell "{cid}": face "{f}" has dimension '
+                                          f'{self.dim_of(f)}, expected {d - 1}')
+        return d, i, frozenset(map(self._index[d - 1].__getitem__, face_ids))
+
+    @classmethod
+    def _from_positions(cls, cells, faces, labels) -> "ChainComplexF2":
+        """The complex that :func:`product` or :func:`glue` computed; only its
+        ids are checked.  From valid complexes, the Leibniz rule and gluing
+        along checked chain isomorphisms (an injective chain map of each
+        attached complex) give a zero boundary of every boundary and labels
+        closed under the boundary."""
+        self = cls.__new__(cls)
+        self._set_cells(cells)
+        self._faces, self._labels = faces, labels
+        return self
 
     @property
     def dim(self) -> int:
@@ -177,45 +218,40 @@ class ChainComplexF2(object):
         return len(self._cells) - 1
 
     def cells_of(self, dim: int) -> tuple[str, ...]:
-        return self._cells.get(dim, ())
+        return self._cells[dim] if 0 <= dim < len(self._cells) else ()
 
     def n_cells(self, dim: int) -> int:
-        return len(self._cells.get(dim, ()))
+        return len(self.cells_of(dim))
 
     def all_cells(self):
-        for d in range(self.dim + 1):
-            for cid in self._cells[d]:
-                yield d, cid
+        return ((d, cid) for d, ids in enumerate(self._cells) for cid in ids)
 
     def dim_of(self, cid: str) -> int:
-        return self._dims[cid]
+        return self._locate(cid)[0]
 
     def __contains__(self, cid: str) -> bool:
-        return cid in self._dims
+        return any(cid in ix for ix in self._index)
 
     def boundary_of(self, cid: str) -> frozenset[str]:
-        if self._dims[cid] == 0:
-            return frozenset()
-        return self._boundary[cid]
+        d, i = self._locate(cid)  # a 0-cell has no faces to look up
+        return frozenset(map(self._cells[d - 1].__getitem__, self._faces[d][i]))
 
     @property
     def labels(self) -> dict[str, frozenset[str]]:
-        return dict(self._labels)
+        return {name: self.label(name) for name in self._labels}
 
     def label(self, name: str) -> frozenset[str]:
-        return self._labels[name]
+        return frozenset(self._cells[d][i] for d, i in self._labels[name])
 
     def __repr__(self) -> str:
         counts = [self.n_cells(d) for d in range(self.dim + 1)]
         return f"ChainComplexF2(cells={counts}, labels={sorted(self._labels)})"
 
     def to_json_obj(self) -> dict:
-        cells = {str(d): list(self._cells[d]) for d in range(self.dim + 1)}
-        bnd = {}
-        for d in range(1, self.dim + 1):
-            for cid in self._cells[d]:
-                bnd[cid] = sorted(self._boundary[cid])
-        labs = {name: sorted(self._labels[name]) for name in sorted(self._labels)}
+        cells = {str(d): list(ids) for d, ids in enumerate(self._cells)}
+        bnd = {cid: sorted(map(self._cells[d - 1].__getitem__, fs))
+               for d in range(1, self.dim + 1) for cid, fs in zip(self._cells[d], self._faces[d])}
+        labs = {name: sorted(self.label(name)) for name in sorted(self._labels)}
         return {"cells": cells, "boundary": bnd, "labels": labs}
 
     def to_json(self, indent: int | None = 2) -> str:
@@ -244,21 +280,16 @@ class ChainComplexF2(object):
             dim = int(digits)
             if dim in cells:
                 raise CWFormatError(f'cell dimension key "{dim_key}" repeats dimension {dim}')
-            if not isinstance(ids, list) or not all(isinstance(i, str) for i in ids):
-                raise CWFormatError(f'cell list for dimension {dim_key} must be a list of strings')
+            _check_string_lists({dim_key: ids}, "cell list for dimension {} must be a list of strings")
             cells[dim] = ids
         boundary_obj = obj.get("boundary", {})
         if not isinstance(boundary_obj, dict):
             raise CWFormatError('"boundary" must be an object mapping cell id to face list')
-        for cid, faces in boundary_obj.items():
-            if not isinstance(faces, list) or not all(isinstance(f, str) for f in faces):
-                raise CWFormatError(f'cell "{cid}": face list must be a list of strings')
+        _check_string_lists(boundary_obj, 'cell "{}": face list must be a list of strings')
         labels_obj = obj.get("labels", {})
         if not isinstance(labels_obj, dict):
             raise CWFormatError('"labels" must be an object mapping label name to id list')
-        for name, ids in labels_obj.items():
-            if not isinstance(ids, list) or not all(isinstance(i, str) for i in ids):
-                raise CWFormatError(f'label "{name}": member list must be a list of strings')
+        _check_string_lists(labels_obj, 'label "{}": member list must be a list of strings')
         try:
             return cls(cells, boundary_obj, labels_obj)
         except InvalidComplexError as exc:
@@ -277,17 +308,22 @@ class ChainComplexF2(object):
         return cls.from_json_obj(obj)
 
 
+def _check_string_lists(mapping: dict, message: str) -> None:
+    """Raise ``CWFormatError(message.format(key))`` for the first key whose
+    value is not a list of strings; exact types, as JSON decodes them, skip
+    the loop."""
+    values = mapping.values()
+    if {list}.issuperset(map(type, values)) and {str}.issuperset(map(type, chain.from_iterable(values))):
+        return
+    for key, ids in mapping.items():
+        if not isinstance(ids, list) or not all(isinstance(i, str) for i in ids):
+            raise CWFormatError(message.format(key))
+
+
 def boundary_matrix(c: ChainComplexF2, k: int) -> BitMatrixF2:
     """Matrix of the k-th boundary map; one bit row per k-cell."""
-    faces = c.cells_of(k - 1)
-    index = {f: i for i, f in enumerate(faces)}
-    rows = []
-    for cid in c.cells_of(k):
-        mask = 0
-        for f in c.boundary_of(cid):
-            mask |= 1 << index[f]
-        rows.append(mask)
-    return BitMatrixF2(rows, len(faces))
+    rows = c._faces[k] if 0 <= k <= c.dim else ()
+    return BitMatrixF2([sum(map((1).__lshift__, fs)) for fs in rows], c.n_cells(k - 1))
 
 
 def betti(c: ChainComplexF2) -> BettiVector:
@@ -325,34 +361,24 @@ def euler_char(c: ChainComplexF2) -> int:
 
 def is_nullhomologous(c: ChainComplexF2, dim: int, chain: Iterable[str]) -> bool:
     """Whether a cycle (set of dim-cells with zero mod-2 boundary) bounds."""
-    members = set(str(x) for x in chain)
-    index = {cid: i for i, cid in enumerate(c.cells_of(dim))}
-    acc: set[str] = set()
-    for cid in members:
+    index, members = c._index[dim] if 0 <= dim <= c.dim else {}, []
+    for cid in dict.fromkeys(map(str, chain)):
         if cid not in index:
             raise ValueError(f'"{cid}" is not a {dim}-cell of the complex')
-        if dim >= 1:
-            acc ^= c.boundary_of(cid)
-    if acc:
-        raise ValueError(f"chain is not a cycle; boundary is {sorted(acc)}")
-    vec = 0
-    for cid in members:
-        vec |= 1 << index[cid]
+        members.append(index[cid])
+    if dim >= 1 and (odd := _sum(c._faces[dim], members)):
+        names = sorted(map(c._cells[dim - 1].__getitem__, odd))
+        raise ValueError(f"chain is not a cycle; boundary is {names}")
     mat = boundary_matrix(c, dim + 1)
+    vec = sum(map((1).__lshift__, members))
     return BitMatrixF2(mat.rows + (vec,), mat.ncols).rank() == mat.rank()
 
 
 def label_subcomplex(c: ChainComplexF2, name: str) -> ChainComplexF2:
     """The labeled subcomplex as a standalone complex (labels are dropped)."""
     members = c.label(name)
-    cells: dict[int, list[str]] = {}
-    bnd: dict[str, frozenset[str]] = {}
-    for d, cid in c.all_cells():
-        if cid in members:
-            cells.setdefault(d, []).append(cid)
-            if d >= 1:
-                bnd[cid] = c.boundary_of(cid)
-    return ChainComplexF2(cells, bnd)
+    cells = {d: [cid for cid in ids if cid in members] for d, ids in enumerate(c._cells)}
+    return ChainComplexF2(cells, {cid: c.boundary_of(cid) for cid in sorted(members)})
 
 
 def product(a: ChainComplexF2, b: ChainComplexF2) -> ChainComplexF2:
@@ -363,62 +389,68 @@ def product(a: ChainComplexF2, b: ChainComplexF2) -> ChainComplexF2:
     A label on either factor induces the label (subcomplex x full factor)
     with the same name on the product.
     """
-    cells: dict[int, list[str]] = {}
-    bnd: dict[str, list[str]] = {}
-    for da in range(a.dim + 1):
-        for db in range(b.dim + 1):
-            d = da + db
-            for xa in a.cells_of(da):
-                for xb in b.cells_of(db):
-                    cid = f"{xa}*{xb}"
-                    cells.setdefault(d, []).append(cid)
-                    if d >= 1:
-                        faces = [f"{fa}*{xb}" for fa in a.boundary_of(xa)]
-                        faces += [f"{xa}*{fb}" for fb in b.boundary_of(xb)]
-                        bnd[cid] = faces
-    labs: dict[str, list[str]] = {}
-    for name, members in a.labels.items():
-        labs[name] = [f"{xa}*{xb}" for xa in members for _, xb in b.all_cells()]
-    for name, members in b.labels.items():
-        if name in labs:
+    for name in b._labels:
+        if name in a._labels:
             raise ValueError(f'label "{name}" exists on both factors; rename before taking products')
-        labs[name] = [f"{xa}*{xb}" for _, xa in a.all_cells() for xb in members]
-    return ChainComplexF2(cells, bnd, labs)
+    top = a.dim + b.dim if a.dim >= 0 and b.dim >= 0 else -1
+    cells: list[list[str]] = [[] for _ in range(top + 1)]
+    faces: list[list[frozenset[int]]] = [[] for _ in range(top + 1)]
+    nb = [len(ys) for ys in b._cells]
+    # dimension d holds blocks (da, d - da), da ascending; in block (da, db)
+    # the cells i of a and j of b sit at start[da, db] + i * nb[db] + j
+    start: dict[tuple[int, int], int] = {}
+    for da, (xs, xfaces) in enumerate(zip(a._cells, a._faces)):
+        for db, (ys, yfaces) in enumerate(zip(b._cells, b._faces)):
+            d, o1, o2 = da + db, start.get((da - 1, db), 0), start.get((da, db - 1), 0)
+            start[da, db] = len(cells[d])
+            cells[d] += [f"{x}*{y}" for x in xs for y in ys]
+            # faces in the blocks (da - 1, db) and (da, db - 1); 0-cells have none
+            faces[d] += [frozenset([o1 + f * nb[db] + j for f in xf] + [o2 + i * nb[db - 1] + f for f in yf])
+                         for i, xf in enumerate(xfaces) for j, yf in enumerate(yfaces)]
 
+    def lift(xs: Iterable[tuple[int, int]], ys: Iterable[tuple[int, int]]) -> frozenset:
+        return frozenset((da + db, start[da, db] + i * nb[db] + j) for da, i in xs for db, j in ys)
 
-Attachment = tuple[str, ChainComplexF2, str, Mapping[str, str], str]
+    every_a = [(d, i) for d, xs in enumerate(a._cells) for i in range(len(xs))]
+    every_b = [(d, j) for d, ys in enumerate(b._cells) for j in range(len(ys))]
+    labels = {name: lift(label, every_b) for name, label in a._labels.items()}
+    labels.update((name, lift(every_a, label)) for name, label in b._labels.items())
+    return ChainComplexF2._from_positions(tuple(map(tuple, cells)), tuple(map(tuple, faces)), labels)
 
 
 def _checked_match(
     a: ChainComplexF2, la: str, b: ChainComplexF2, lb: str, match: Mapping[str, str]
-) -> dict[str, str]:
-    """``match`` as a str dict, after checking that it is a chain isomorphism
-    from b's label ``lb`` onto a's label ``la``."""
+) -> list[dict[int, int]]:
+    """Per dimension of b, the map from the positions of b's label ``lb`` to
+    positions in a, after checking that ``match`` is a chain isomorphism
+    from that label onto a's label ``la``."""
     if la not in a._labels:
         raise InterfaceMismatch(f'no label "{la}" on the base complex')
     if lb not in b._labels:
         raise InterfaceMismatch(f'no label "{lb}" on the attached complex')
-    la_cells = a.label(la)
-    lb_cells = b.label(lb)
+    src_at = {b._cells[d][i]: (d, i) for d, i in b._labels[lb]}
+    dst_at = {a._cells[d][j]: (d, j) for d, j in a._labels[la]}
     match = {str(k): str(v) for k, v in match.items()}
-    if set(match) != set(lb_cells):
+    if set(match) != src_at.keys():
         raise InterfaceMismatch("match domain differs from the attached-side label")
-    if set(match.values()) != set(la_cells) or len(set(match.values())) != len(match):
+    targets = set(match.values())
+    if targets != dst_at.keys() or len(targets) != len(match):
         raise InterfaceMismatch("match is not a bijection onto the base-side label")
+    to_a: list[dict[int, int]] = [{} for _ in b._cells]
     for src, dst in match.items():
-        if b.dim_of(src) != a.dim_of(dst):
+        (d, i), (e, j) = src_at[src], dst_at[dst]
+        if d != e:
             raise InterfaceMismatch(f'match sends "{src}" to "{dst}" of different dimension')
-    for src, dst in match.items():
-        if b.dim_of(src) >= 1:
-            image = {match[f] for f in b.boundary_of(src)}
-            if image != set(a.boundary_of(dst)):
-                raise InterfaceMismatch(
-                    f'match does not commute with the boundary at cell "{src}"'
-                )
-    return match
+        to_a[d][i] = j
+    for src in match:
+        d, i = src_at[src]  # a 0-cell has no faces to map
+        if set(map(to_a[d - 1].__getitem__, b._faces[d][i])) != a._faces[d][to_a[d][i]]:
+            raise InterfaceMismatch(f'match does not commute with the boundary at cell "{src}"')
+    return to_a
 
 
-def glue(a: ChainComplexF2, attachments: Iterable[Attachment]) -> ChainComplexF2:
+def glue(a: ChainComplexF2,
+         attachments: Iterable[tuple[str, ChainComplexF2, str, Mapping[str, str], str]]) -> ChainComplexF2:
     """Pushout of several complexes onto a, each along a chain isomorphism of
     labeled subcomplexes.
 
@@ -429,40 +461,41 @@ def glue(a: ChainComplexF2, attachments: Iterable[Attachment]) -> ChainComplexF2
     so an attachment cannot glue onto cells that another attachment brings.
     Cells of a keep their identifiers, the remaining cells of b get a
     ``prefix:`` namespace, and b's labels other than ``lb`` survive under the
-    same namespace.  New cells follow a's cells in attachment order, and the
-    result is validated once, whatever the number of attachments.
+    same namespace.  New cells follow a's cells in attachment order.
     """
-    cells: dict[int, list[str]] = {d: list(a.cells_of(d)) for d in range(a.dim + 1)}
-    bnd: dict[str, Iterable[str]] = dict(a._boundary)
-    labs: dict[str, Iterable[str]] = dict(a._labels)
-    existing = set(a._dims)
+    cells = [list(ids) for ids in a._cells]
+    faces = [list(fs) for fs in a._faces]
+    labels = dict(a._labels)
+    existing = set(chain.from_iterable(a._cells))
     for la, b, lb, match, prefix in attachments:
         try:
-            match = _checked_match(a, la, b, lb, match)
+            new_pos = _checked_match(a, la, b, lb, match)
         except InterfaceMismatch as exc:
             raise InterfaceMismatch(f'attachment "{prefix}": {exc}') from None
-        new_id = dict(match)
-        for d in range(b.dim + 1):
-            for cid in b.cells_of(d):
-                if cid in match:
+        cells += [[] for _ in range(len(cells), b.dim + 1)]
+        faces += [[] for _ in range(len(faces), b.dim + 1)]
+        for d, (ids, fs) in enumerate(zip(b._cells, b._faces)):
+            to_new, below = new_pos[d], new_pos[d - 1].__getitem__  # 0-cells have no faces
+            for i, cid in enumerate(ids):
+                if i in to_new:
                     continue
-                new = new_id[cid] = f"{prefix}:{cid}"
+                new = f"{prefix}:{cid}"
                 if new in existing:
                     raise ValueError(
                         f'attachment "{prefix}": cell id collision "{new}"; pick a different prefix'
                     )
                 existing.add(new)
-                cells.setdefault(d, []).append(new)
-                if d >= 1:
-                    bnd[new] = [new_id[f] for f in b.boundary_of(cid)]
-        for name, members in b._labels.items():
+                to_new[i] = len(cells[d])
+                cells[d].append(new)
+                faces[d].append(frozenset(map(below, fs[i])))
+        for name, label in b._labels.items():
             if name == lb:
                 continue
             new_name = f"{prefix}:{name}"
-            if new_name in labs:
+            if new_name in labels:
                 raise ValueError(
                     f'attachment "{prefix}": label name collision "{new_name}"; '
                     "pick a different prefix"
                 )
-            labs[new_name] = [new_id[cid] for cid in members]
-    return ChainComplexF2(cells, bnd, labs)
+            labels[new_name] = frozenset((d, new_pos[d][i]) for d, i in label)
+    return ChainComplexF2._from_positions(tuple(map(tuple, cells)), tuple(map(tuple, faces)), labels)

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import pytest
@@ -221,6 +222,21 @@ def test_model_genus_above_the_cap_is_rejected_before_building(capsys, monkeypat
                    f"{MAX_MODEL_GENUS}\n")
 
 
+def test_sweep_genus_above_the_cap_is_rejected_at_once(capsys, monkeypatch):
+    from msym.cli import MAX_SWEEP_GENUS
+    monkeypatch.setattr(mcheck, "sweep", refuse)
+    start = time.perf_counter()
+    result = run(capsys, ["check-m", "--sweep", "--gmax", str(MAX_SWEEP_GENUS + 1), "--nmax", "3"])
+    assert time.perf_counter() - start < 1
+    assert result == (2, "", f"error: --gmax {MAX_SWEEP_GENUS + 1} is above the sweep genus "
+                             f"cap of {MAX_SWEEP_GENUS}\n")
+    swept = []
+    monkeypatch.setattr(mcheck, "sweep", lambda gmax, nmax: swept.append(gmax) or [mcheck.check(0, 2)])
+    code, _, _ = run(capsys, ["check-m", "--sweep", "--gmax", str(MAX_SWEEP_GENUS), "--nmax", "3"])
+    assert (code, swept) == (0, [MAX_SWEEP_GENUS])
+    assert MAX_SWEEP_GENUS < MAX_MODEL_GENUS
+
+
 def test_model_genus_cap_leaves_other_powers_alone(capsys):
     # n >= 4 builds no model, so the cap does not apply
     code, out, _ = run(capsys, ["check-m", "--g", str(MAX_MODEL_GENUS + 1), "--n", "5",
@@ -286,6 +302,24 @@ def test_homology_deeply_nested_file_exits_2_without_traceback(capsys, tmp_path)
     code, out, err = run(capsys, ["homology", "--file", str(path)])
     assert code == 2 and out == ""
     assert err.startswith("error: JSON beyond the decoder's limits") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("obj,error", [
+    ({"cells": {"0": ["v"], "1": ["e"]}, "boundary": {"e": ["x1", "y2", "z3"]}},
+     'cell "e": unknown face "x1"'),
+    ({"cells": {"0": ["v"]}, "labels": {"L": ["v", "p1", "q2", "r3"]}},
+     'label "L": unknown cell "p1"'),
+], ids=["faces", "label-members"])
+def test_homology_names_the_first_fault_in_input_order_under_every_hash_seed(tmp_path, obj, error):
+    # three faults in one list: set iteration order, which moves with the
+    # string hash seed, must not pick the one reported
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    for seed in range(5):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), PYTHONHASHSEED=str(seed))
+        proc = subprocess.run([sys.executable, "-m", "msym.cli", "homology", "--file", str(path)],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {error}\n"), seed
 
 
 def test_homology_missing_file(capsys, tmp_path):

@@ -430,8 +430,9 @@ def test_construction_rejects_negative_dimension():
 
 def test_json_round_trip(zoo):
     for name, cw in zoo.items():
-        back = ChainComplexF2.from_json(cw.to_json())
-        assert back.to_json_obj() == cw.to_json_obj(), name
+        text = cw.to_json()
+        back = ChainComplexF2.from_json(text)
+        assert back.to_json() == text, name
         assert betti(back) == betti(cw), name
 
 
@@ -456,6 +457,52 @@ def test_json_parse_errors_name_the_cell():
         ChainComplexF2.from_json(
             '{"cells": {"0": ["v"]}, "boundary": {}, "labels": {"L": ["w"]}}'
         )
+
+
+# Inputs with two faults in different places, and the full error each one
+# gets: the text, and which fault is reported first
+TWO_FAULTS = {
+    "unknown-face-beats-earlier-double-boundary": (
+        {"cells": {"0": ["v"], "1": ["e", "x"], "2": ["f"]},
+         "boundary": {"f": ["e"], "e": ["v"], "x": ["w"]}},
+        'cell "x": unknown face "w"'),
+    "double-boundary-in-input-order": (
+        {"cells": {"0": ["u", "v"], "1": ["a", "b"], "2": ["f", "g"]},
+         "boundary": {"g": ["a"], "f": ["b"], "a": ["u"], "b": ["v"]}},
+        "cell \"g\": boundary of boundary is ['u'], not zero"),
+    "open-label-beats-later-unknown-member": (
+        {"cells": {"0": ["u", "v"], "1": ["e"]}, "boundary": {"e": ["u", "v"]},
+         "labels": {"A": ["e", "u"], "B": ["zz"]}},
+        'label "A": not closed under boundary at cell "e"'),
+    "duplicate-id-beats-empty-id-above": (
+        {"cells": {"2": [""], "1": ["e", "e"], "0": ["v"]}, "boundary": {}},
+        'duplicate cell id "e"'),
+    "label-type-beats-double-boundary": (
+        {"cells": {"0": ["v"], "1": ["e"], "2": ["f"]}, "boundary": {"e": ["v"], "f": ["e"]},
+         "labels": {"L": ["v", 1]}},
+        'label "L": member list must be a list of strings'),
+    "repeated-face-beats-later-unknown-face": (
+        {"cells": {"0": ["u", "v"], "1": ["e", "d"]}, "boundary": {"e": ["u", "u"], "d": ["w"]}},
+        'cell "e": repeated face (mod-2 boundaries must be pre-reduced)'),
+    "zero-cell-boundary-beats-unknown-cell": (
+        {"cells": {"0": ["v", "w"]}, "boundary": {"v": ["w"], "q": []}},
+        '0-cell "v" cannot have a boundary'),
+    "wrong-dimension-beats-later-unknown-face": (
+        {"cells": {"0": ["v"], "1": ["e"], "2": ["f", "g"]},
+         "boundary": {"e": [], "f": ["v"], "g": ["zz"]}},
+        'cell "f": face "v" has dimension 0, expected 1'),
+    "face-type-beats-later-bad-face-list": (
+        {"cells": {"0": ["v"], "1": ["e"]}, "boundary": {"e": ["v", None], "v": "w"}},
+        'cell "e": face list must be a list of strings'),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TWO_FAULTS))
+def test_two_fault_inputs_keep_their_first_error_word_for_word(name):
+    obj, error = TWO_FAULTS[name]
+    with pytest.raises(CWFormatError) as exc:
+        ChainComplexF2.from_json(json.dumps(obj))
+    assert str(exc.value) == error
 
 
 @pytest.mark.parametrize("key", ["\u00b2", "\u0663", "1\u00b9"])

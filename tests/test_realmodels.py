@@ -218,14 +218,26 @@ def test_models_match_chained_single_attachment_glue(g):
 
 
 def test_curated_models_pass_the_full_validator():
-    models = [build_sym2_circle(), build_sym3_circle()]
+    # product and glue check only the ids of what they build; the full
+    # validator must accept it unchanged, with the same Betti numbers
+    models = [(0, build_sym2_circle()), (0, build_sym3_circle())]
     for g in range(65):
         models += [
-            build_half_surface(g),
-            build_Y(g),
-            build_B(g),
-            build_B(g, glue_sym3=False),
+            (g, build_half_surface(g)),
+            (g, build_Y(g)),
+            (g, build_B(g)),
+            (g, build_B(g, glue_sym3=False)),
         ]
-    for m in models:
+    for g, m in models:
         text = m.to_json()
-        assert ChainComplexF2.from_json(text).to_json() == text
+        back = ChainComplexF2.from_json(text)
+        assert back.to_json() == text
+        if g <= 8:
+            assert betti(back) == betti(m), (g, m)
+
+
+def test_large_model_survives_the_full_validator():
+    text = build_B(1000).to_json()
+    back = ChainComplexF2.from_json(text)
+    assert back.to_json() == text
+    assert betti(back) == (1, 1001, 1001, 1)
