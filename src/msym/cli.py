@@ -8,8 +8,9 @@ reader of stdout closes it before all output is written.  An input whose
 answer is too large to print exits 2 as a bad argument (see
 ``MAX_ANSWER_DIGITS``), and so does a genus above ``MAX_MODEL_GENUS`` for
 the commands that build CW models, or a sweep ``--gmax`` above
-``MAX_SWEEP_GENUS``.  Output is byte-deterministic for fixed flags and
-seed; sweep rows come out sorted by (g, n).
+``MAX_SWEEP_GENUS``, or a sweep grid of more than ``MAX_SWEEP_ROWS`` rows.
+Output is byte-deterministic for fixed flags and seed; sweep rows come out
+sorted by (g, n).
 """
 
 from __future__ import annotations
@@ -77,6 +78,13 @@ MAX_MODEL_GENUS = 10_000
 # --sweep --gmax 400 --nmax 3 takes about 9-10 s (Python 3.11.7, one core of
 # a 2-core Intel Xeon), where the model cap alone would admit hours.
 MAX_SWEEP_GENUS = 400
+# The row cap of check-m --sweep: (--gmax + 1) * (--nmax - 1) rows at most.
+# Each row beyond n = 3 costs O(min(2g, n)) big-int work plus its output
+# line, so --nmax alone could make a sweep at a small --gmax run for minutes
+# (--gmax 100 --nmax 800, 80,699 rows, took 5.2 s and 193 MiB).  At the cap,
+# --gmax 400 --nmax 50 takes about 1.1x as long as --gmax 400 --nmax 3 and
+# 37 MiB (Python 3.11.7, one core of a 2-core Intel Xeon).
+MAX_SWEEP_ROWS = 20_000
 
 
 def _sum_too_long(g: int, n: int) -> bool:
@@ -179,6 +187,11 @@ def _cmd_check_m(args) -> int:
             print(f"error: --gmax {args.gmax} is above the sweep genus cap of {MAX_SWEEP_GENUS}",
                   file=sys.stderr)
             return 2
+        rows = (args.gmax + 1) * (args.nmax - 1)
+        if rows > MAX_SWEEP_ROWS:
+            print(f"error: --nmax {args.nmax} with --gmax {args.gmax} makes {rows} sweep rows, "
+                  f"above the sweep row cap of {MAX_SWEEP_ROWS}", file=sys.stderr)
+            return 2
         reports = mcheck.sweep(args.gmax, args.nmax)
     else:
         for flag, value in (("--gmax", args.gmax), ("--nmax", args.nmax)):
@@ -252,6 +265,12 @@ def _cmd_verify_fibration(args) -> int:
         "checks": [
             {"check": name, "value": value, "required": req, "passed": ok}
             for name, value, req, ok in checks
+        ],
+        # json only: the csv and md tables keep one row per check
+        "worst_samples": [
+            {"check": name, "index": index, "point": list(point)}
+            for name, (index, point) in (("roundtrip_max_error", report.worst_roundtrip),
+                                         ("fiber_max_error", report.worst_fiber))
         ],
         "all_passed": report.all_passed,
     }

@@ -47,34 +47,43 @@ def _circle_dist(x: Angle, y: Angle):
     return min(d, 1 - d)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class CirclePoint:
     """Angle in [0, 1) representing a point on the unit circle."""
 
     s: Angle
 
-    def __post_init__(self):
-        s = self.s
-        if type(s) is not float and isinstance(s, int):
-            s = Fraction(s)
-        object.__setattr__(self, "s", _mod1(s))
+    def __init__(self, s: Angle):
+        # one store per point: floats and exact Fractions already in [0, 1)
+        # are settled inline; ints, bools and Fraction subclasses take the
+        # general path
+        if type(s) is float:
+            s %= 1.0
+            if s >= 1.0:  # float modulo of a tiny negative can round up to 1.0
+                s = 0.0
+        elif not (type(s) is Fraction and 0 <= s.numerator < s.denominator):
+            if isinstance(s, int):
+                s = Fraction(s)
+            s = _mod1(s)
+        object.__setattr__(self, "s", s)
 
     @property
     def is_exact(self) -> bool:
-        return isinstance(self.s, Fraction)
+        s = self.s
+        return type(s) is Fraction or isinstance(s, Fraction)
 
     def distance_to(self, other: "CirclePoint"):
         return _circle_dist(self.s, other.s)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class SymTriple:
     """Unordered triple of circle points, stored sorted by angle."""
 
     pts: tuple[CirclePoint, CirclePoint, CirclePoint]
 
-    def __post_init__(self):
-        pts = tuple(self.pts)
+    def __init__(self, pts: Iterable[CirclePoint]):
+        pts = tuple(pts)
         if len(pts) != 3:
             raise ValueError("a triple needs exactly three points")
         # insertion sort on strict <: stable, like sorted(key=lambda p: p.s)
@@ -97,7 +106,8 @@ class SymTriple:
 
     @property
     def is_exact(self) -> bool:
-        return all(p.is_exact for p in self.pts)
+        a, b, c = self.pts
+        return a.is_exact and b.is_exact and c.is_exact
 
     def distance_to(self, other: "SymTriple"):
         """Max angle distance under the best cyclic matching.
@@ -120,7 +130,7 @@ class SymTriple:
         return bool(b - a <= tol or c - b <= tol or (a + 1) - c <= tol)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SimplexPoint:
     """Point (d1, d2) of the standard triangle d1, d2 >= 0, d1 + d2 <= 1."""
 
@@ -167,11 +177,11 @@ def t_inverse(tr: SymTriple, *, tol: float = FIBER_TOL) -> SimplexPoint:
     Raises :class:`FiberError` when the product of the entries is not 1
     within tol.
     """
-    th = theta(tr)
-    if not (_circle_dist(th.s, 0) <= tol):  # a nan angle sum fails too
-        raise FiberError(f"triple with angle sum {th.s} is not on the fiber over 1")
     lift = tr.angles()
     sigma = lift[0] + lift[1] + lift[2]
+    th = _mod1(sigma)  # theta(tr).s, without building the point
+    if not (_circle_dist(th, 0) <= tol):  # a nan angle sum fails too
+        raise FiberError(f"triple with angle sum {th} is not on the fiber over 1")
     # sigma is exact iff all three angles are, and then so are d1 and d2
     exact = type(sigma) is not float and isinstance(sigma, Fraction)
     if exact:
@@ -187,8 +197,14 @@ def t_inverse(tr: SymTriple, *, tol: float = FIBER_TOL) -> SimplexPoint:
     d2 = lift[2] - lift[1]
     if not exact:
         # float rounding can push a boundary value a few ulps outside
-        d1 = min(max(d1, 0.0), 1.0)
-        d2 = min(max(d2, 0.0), 1.0)
+        if d1 < 0.0:
+            d1 = 0.0
+        elif d1 > 1.0:
+            d1 = 1.0
+        if d2 < 0.0:
+            d2 = 0.0
+        elif d2 > 1.0:
+            d2 = 1.0
         if d1 + d2 > 1.0:
             d2 = 1.0 - d1
     return SimplexPoint(d1, d2)
@@ -211,10 +227,12 @@ def is_boundary_point(p: SimplexPoint, tol: float = ROUNDTRIP_TOL) -> bool:
 # {(0, 0, m)} of the bundle projection, and the fiber-boundary curve
 # {(v, v, m) : 2v + m = 0 mod 1}.
 
+_ZERO = Fraction(0)
+
 
 def diagonal_curve_point(a: Angle) -> SymTriple:
     """Point (a, a, 0) of the diagonal-direction boundary curve."""
-    zero = Fraction(0) if isinstance(a, (int, Fraction)) else 0.0
+    zero = _ZERO if type(a) is Fraction or isinstance(a, (int, Fraction)) else 0.0
     return SymTriple.from_angles(a, a, zero)
 
 
@@ -236,7 +254,7 @@ def on_fiber_boundary_curve(tr: SymTriple) -> bool:
         candidates.append((a, c))
     if b == c:
         candidates.append((b, a))
-    return any(_mod1(2 * v + m) == 0 for v, m in candidates)
+    return any((2 * v + m).denominator == 1 for v, m in candidates)
 
 
 def _rational_angles(max_denominator: int) -> Iterable[Fraction]:
@@ -282,7 +300,12 @@ def enumerate_diagonal_fiber_boundary_intersections(
 
 @dataclass(frozen=True)
 class FibrationReport:
-    """Worst observed errors of the randomized bundle-structure checks."""
+    """Worst observed errors of the randomized bundle-structure checks.
+
+    ``worst_roundtrip`` and ``worst_fiber`` give the index and the (d1, d2)
+    point of the first sample with the largest error of each kind: a run of
+    ``index + 1`` samples with the same seed ends on that sample.
+    """
 
     samples: int
     seed: int
@@ -293,6 +316,8 @@ class FibrationReport:
     boundary_mismatches: int
     section_intersections: int
     fiber_boundary_intersections: int
+    worst_roundtrip: tuple[int, tuple[float, float]]
+    worst_fiber: tuple[int, tuple[float, float]]
 
     @property
     def boundary_agreement(self) -> float:
@@ -352,17 +377,24 @@ def run_property_suite(
         raise ValueError("need at least one sample")
     rng = random.Random(seed)
     origin = CirclePoint(0.0)
-    max_rt = 0.0
-    max_fib = 0.0
+    # every error is a finite float >= 0, so sample 0 sets both maxima
+    max_rt = max_fib = -1.0
     mismatches = 0
     for i in range(samples):
         p = _sample_simplex_point(rng, i)
         tr = t_map(p, tol=1e-6)
-        max_fib = max(max_fib, theta(tr).distance_to(origin))
+        err = theta(tr).distance_to(origin)
+        if err > max_fib:
+            max_fib, worst_fib = err, (i, p)
         # inversion itself runs at a loose tolerance; the measured errors are
         # compared against the requested thresholds in the report
         q = t_inverse(tr, tol=1e-6)
-        max_rt = max(max_rt, abs(q.d1 - p.d1), abs(q.d2 - p.d2))
+        err = abs(q.d1 - p.d1)
+        err2 = abs(q.d2 - p.d2)
+        if err2 > err:
+            err = err2
+        if err > max_rt:
+            max_rt, worst_rt = err, (i, p)
         if is_boundary_point(p, roundtrip_tol) != tr.has_repeated_point(roundtrip_tol):
             mismatches += 1
     return FibrationReport(
@@ -375,4 +407,6 @@ def run_property_suite(
         boundary_mismatches=mismatches,
         section_intersections=len(enumerate_diagonal_section_intersections()),
         fiber_boundary_intersections=len(enumerate_diagonal_fiber_boundary_intersections()),
+        worst_roundtrip=(worst_rt[0], worst_rt[1].as_tuple()),
+        worst_fiber=(worst_fib[0], worst_fib[1].as_tuple()),
     )

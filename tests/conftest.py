@@ -4,6 +4,7 @@ only the tests use."""
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import comb
 from typing import Callable
 
@@ -179,6 +180,34 @@ def reference_poincare_sym(g: int, n: int) -> GradedPoly:
 def reference_betti_sum_sym(g: int, n: int) -> int:
     """Reference for ``betti_sum_sym``: every C(2g, k) computed from scratch."""
     return sum(comb(2 * g, k) * (n - k + 1) for k in range(min(2 * g, n) + 1))
+
+
+def reference_circle_angle(s):
+    """Reference for the angle ``CirclePoint(s)`` stores: ints and bools
+    promoted to Fraction, then the generic reduction mod 1, as the
+    constructor did it before its single-store fast paths."""
+    if type(s) is not float and isinstance(s, int):
+        s = Fraction(s)
+    if type(s) is not float and isinstance(s, Fraction):
+        return s % 1
+    y = s % 1.0
+    return 0.0 if y >= 1.0 else y
+
+
+def reference_sorted_points(pts):
+    """Reference for ``SymTriple(pts).pts``: the insertion sort on strict <
+    that the triple used before its own constructor, on the same objects."""
+    pts = tuple(pts)
+    if len(pts) != 3:
+        raise ValueError("a triple needs exactly three points")
+    a, b, c = pts
+    if b.s < a.s:
+        a, b = b, a
+    if c.s < b.s:
+        b, c = c, b
+        if b.s < a.s:
+            a, b = b, a
+    return (a, b, c)
 
 
 @pytest.fixture(scope="session")

@@ -14,7 +14,8 @@ import pytest
 
 from msym import (ChainComplexF2, betti, build_B, circle, genfun, mcheck, product,
                   realmodels)
-from msym.cli import MAX_ANSWER_DIGITS, MAX_MODEL_GENUS, MAX_POLY_DEGREE, main
+from msym.cli import (MAX_ANSWER_DIGITS, MAX_MODEL_GENUS, MAX_POLY_DEGREE, MAX_SWEEP_GENUS,
+                      MAX_SWEEP_ROWS, main)
 
 
 def run(capsys, argv):
@@ -223,7 +224,6 @@ def test_model_genus_above_the_cap_is_rejected_before_building(capsys, monkeypat
 
 
 def test_sweep_genus_above_the_cap_is_rejected_at_once(capsys, monkeypatch):
-    from msym.cli import MAX_SWEEP_GENUS
     monkeypatch.setattr(mcheck, "sweep", refuse)
     start = time.perf_counter()
     result = run(capsys, ["check-m", "--sweep", "--gmax", str(MAX_SWEEP_GENUS + 1), "--nmax", "3"])
@@ -235,6 +235,28 @@ def test_sweep_genus_above_the_cap_is_rejected_at_once(capsys, monkeypatch):
     code, _, _ = run(capsys, ["check-m", "--sweep", "--gmax", str(MAX_SWEEP_GENUS), "--nmax", "3"])
     assert (code, swept) == (0, [MAX_SWEEP_GENUS])
     assert MAX_SWEEP_GENUS < MAX_MODEL_GENUS
+
+
+def test_sweep_grid_above_the_row_cap_is_rejected_at_once(capsys, monkeypatch):
+    monkeypatch.setattr(mcheck, "sweep", refuse)
+    start = time.perf_counter()
+    result = run(capsys, ["check-m", "--sweep", "--gmax", "100", "--nmax", "800"])
+    assert time.perf_counter() - start < 1
+    assert result == (2, "", "error: --nmax 800 with --gmax 100 makes 80699 sweep rows, "
+                             f"above the sweep row cap of {MAX_SWEEP_ROWS}\n")
+    code, _, err = run(capsys, ["check-m", "--sweep", "--gmax", "0", "--nmax",
+                                str(MAX_SWEEP_ROWS + 2)])
+    assert code == 2 and f"--nmax {MAX_SWEEP_ROWS + 2} " in err
+    # the cap admits a grid of exactly MAX_SWEEP_ROWS rows, every bench sweep
+    # (at most 15 x 29 rows) and the largest tier-1 sweep (--gmax 30 --nmax 40)
+    swept = []
+    monkeypatch.setattr(mcheck, "sweep",
+                        lambda gmax, nmax: swept.append((gmax, nmax)) or [mcheck.check(0, 2)])
+    for gmax, nmax in ((0, MAX_SWEEP_ROWS + 1), (14, 30), (30, 40)):
+        code, _, _ = run(capsys, ["check-m", "--sweep", "--gmax", str(gmax), "--nmax", str(nmax)])
+        assert code == 0
+    assert swept == [(0, MAX_SWEEP_ROWS + 1), (14, 30), (30, 40)]
+    assert (MAX_SWEEP_GENUS + 1) * 2 <= MAX_SWEEP_ROWS  # --nmax 3 sweeps to the genus cap
 
 
 def test_model_genus_cap_leaves_other_powers_alone(capsys):
@@ -355,7 +377,8 @@ def test_verify_fibration_fails_under_absurd_tolerance(capsys):
     assert code == 1
 
 
-# stdout of the implementation before the float fast paths, byte for byte
+# stdout of the implementation before the float fast paths, byte for byte;
+# the json "worst_samples" list was added later and pinned when it was
 VERIFY_FIBRATION_500_3 = {
     "csv": (
         'check,value,required,passed\n'
@@ -399,6 +422,24 @@ VERIFY_FIBRATION_500_3 = {
         '      "value": 2,\n'
         '      "required": 2,\n'
         '      "passed": true\n'
+        '    }\n'
+        '  ],\n'
+        '  "worst_samples": [\n'
+        '    {\n'
+        '      "check": "roundtrip_max_error",\n'
+        '      "index": 0,\n'
+        '      "point": [\n'
+        '        0.23796462709189137,\n'
+        '        0.5442292252959519\n'
+        '      ]\n'
+        '    },\n'
+        '    {\n'
+        '      "check": "fiber_max_error",\n'
+        '      "index": 6,\n'
+        '      "point": [\n'
+        '        0.5297364924775521,\n'
+        '        0.16353854872561124\n'
+        '      ]\n'
         '    }\n'
         '  ],\n'
         '  "all_passed": true\n'

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction as Fr
 from itertools import permutations
 
@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import reference_circle_angle, reference_sorted_points
 from msym import (
     CirclePoint,
     DomainError,
@@ -248,6 +249,72 @@ def test_triple_sort_is_stable_on_ties():
         assert SymTriple.from_angles(*p).angles() == (0.2, 0.4, 0.7)
 
 
+def _outcome(fn, *args):
+    """(type, repr) of the result, or of the exception with its text."""
+    try:
+        value = fn(*args)
+    except Exception as exc:  # compared, never swallowed
+        return ("raises", type(exc), str(exc))
+    return (type(value), repr(value))
+
+
+CIRCLE_INPUTS = [
+    -0.0, -1e-18, 1.0, 2.5, NAN, 0.25, -0.75, 1e300, float("inf"),
+    0, 3, -2, 10 ** 30, True, False,
+    Fr(-1, 4), Fr(-7, 3), Fr(7, 3), Fr(1), Fr(3, 2), Fr(0), Fr(1, 2), Fr(99, 100),
+    FrSub(-1, 4), FrSub(5, 4), FrSub(1, 2), FrSub(0),
+    None, "0.5",
+]
+
+
+@pytest.mark.parametrize("s", CIRCLE_INPUTS, ids=repr)
+def test_circle_point_matches_the_reference_reduction(s):
+    assert _outcome(lambda x: CirclePoint(x).s, s) == _outcome(reference_circle_angle, s)
+
+
+def test_circle_point_keeps_an_exact_angle_in_range_and_stays_frozen():
+    half = Fr(1, 2)
+    assert CirclePoint(half).s is half
+    p = CirclePoint(0.25)
+    assert p == CirclePoint(1.25) and hash(p) == hash(CirclePoint(1.25))
+    assert replace(p, s=-0.5) == CirclePoint(0.5)
+    with pytest.raises(FrozenInstanceError):
+        p.s = 0.5
+
+
+TRIPLE_INPUTS = [
+    (0.7, 0.2, 0.4), (0.5, Fr(1, 2), 0.1), (Fr(1, 2), 0.5, 0.1), (0.1, 0.1, 0.1),
+    (NAN, 0.2, 0.1), (0.2, NAN, 0.1), (0.3, 0.2, NAN), (Fr(2, 3), 0, FrSub(1, 3)),
+    (-1e-18, 1.0, 0.0), (True, Fr(1, 2), 2.75),
+]
+
+
+@pytest.mark.parametrize("angles", TRIPLE_INPUTS, ids=repr)
+def test_from_angles_matches_the_reference(angles):
+    want = reference_sorted_points(CirclePoint(a) for a in angles)
+    got = SymTriple.from_angles(*angles).angles()
+    assert [(type(s), repr(s)) for s in got] == [(type(p.s), repr(p.s)) for p in want]
+
+
+@pytest.mark.parametrize("wrap", [tuple, list, iter], ids=["tuple", "list", "one-shot"])
+def test_triple_keeps_the_reference_order_of_its_points(wrap):
+    for angles in TRIPLE_INPUTS:
+        pts = tuple(CirclePoint(a) for a in angles)
+        got = SymTriple(wrap(pts)).pts
+        assert len(got) == 3
+        assert all(g is w for g, w in zip(got, reference_sorted_points(pts))), angles
+
+
+@pytest.mark.parametrize("make", [
+    lambda: (), lambda: [CirclePoint(0.1)] * 2, lambda: [CirclePoint(0.1)] * 4,
+    lambda: iter([CirclePoint(0.2)] * 4), lambda: 5,
+], ids=["empty", "two", "four", "one-shot-four", "not-iterable"])
+def test_triple_rejects_what_the_reference_rejects(make):
+    expected = _outcome(reference_sorted_points, make())
+    assert expected[0] == "raises"
+    assert _outcome(SymTriple, make()) == expected
+
+
 # --- exact curve intersections -------------------------------------------------------
 
 
@@ -313,6 +380,50 @@ def test_property_suite_is_seeded():
     a = run_property_suite(samples=500, seed=7)
     b = run_property_suite(samples=500, seed=7)
     assert a == b
+
+
+# run_property_suite(2000, seed), field by field with floats by repr, recorded
+# before the single-store point constructors; the fields added since then
+# are checked by the replay test below
+PINNED_SUITE = {
+    "samples": "2000",
+    "roundtrip_tol": "1e-09",
+    "fiber_tol": "1e-12",
+    "max_roundtrip_error": "1.1102230246251565e-16",
+    "max_fiber_error": "2.220446049250313e-16",
+    "boundary_mismatches": "0",
+    "section_intersections": "1",
+    "fiber_boundary_intersections": "2",
+}
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2024])
+def test_property_suite_is_pinned(seed):
+    report = run_property_suite(2000, seed)
+    assert {name: repr(getattr(report, name)) for name in PINNED_SUITE} == PINNED_SUITE
+    assert report.seed == seed
+
+
+@pytest.mark.parametrize("seed", [0, 5, 2024])
+@pytest.mark.parametrize("worst,error", [("worst_roundtrip", "max_roundtrip_error"),
+                                         ("worst_fiber", "max_fiber_error")])
+def test_worst_sample_replays_to_the_reported_maximum(seed, worst, error):
+    report = run_property_suite(2000, seed)
+    index, point = getattr(report, worst)
+    replay = run_property_suite(index + 1, seed)
+    assert getattr(replay, error) == getattr(report, error)
+    assert getattr(replay, worst) == (index, point)
+    if index:  # the first sample with the largest error: none before it reaches it
+        assert getattr(run_property_suite(index, seed), error) < getattr(report, error)
+
+
+def test_worst_points_have_the_reported_errors():
+    report = run_property_suite(2000, 5)
+    p = SimplexPoint(*report.worst_roundtrip[1])
+    q = t_inverse(t_map(p, tol=1e-6), tol=1e-6)
+    assert max(abs(q.d1 - p.d1), abs(q.d2 - p.d2)) == report.max_roundtrip_error
+    p = SimplexPoint(*report.worst_fiber[1])
+    assert theta(t_map(p, tol=1e-6)).distance_to(ORIGIN) == report.max_fiber_error
 
 
 def test_property_suite_rejects_empty_runs():
