@@ -14,6 +14,7 @@ from msym import (
     BitMatrixF2,
     ChainComplexF2,
     GradedPoly,
+    boundary_matrix,
     build_B,
     build_half_surface,
     build_sym2_circle,
@@ -75,6 +76,13 @@ def transpose(m: BitMatrixF2) -> BitMatrixF2:
             cols[j] |= bit
             row &= row - 1
     return BitMatrixF2(cols, len(m.rows))
+
+
+def reference_betti(c: ChainComplexF2) -> tuple[int, ...]:
+    """Reference for ``betti``: every row of every boundary matrix ranked,
+    with no rows cleared."""
+    ranks = [boundary_matrix(c, k).rank() for k in range(c.dim + 2)]
+    return tuple(c.n_cells(k) - ranks[k] - ranks[k + 1] for k in range(c.dim + 1))
 
 
 def subdivided_circle(k: int) -> ChainComplexF2:

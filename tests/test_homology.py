@@ -10,6 +10,7 @@ import pytest
 from conftest import (
     disjoint_union,
     klein_bottle,
+    reference_betti,
     rename_cells,
     sphere,
     subdivided_circle,
@@ -31,6 +32,8 @@ from msym import (
     InterfaceMismatch,
     InvalidComplexError,
     betti,
+    boundary_matrix,
+    build_B,
     build_half_surface,
     build_sym2_circle,
     build_sym3_circle,
@@ -43,6 +46,7 @@ from msym import (
     label_subcomplex,
     product,
 )
+from msym import homology
 from msym.homology import MAX_CELL_DIM
 
 
@@ -312,6 +316,74 @@ def test_bitmatrix_rank_invariant_under_permutations():
     rng.shuffle(perm)
     permuted = [sum(((r >> j) & 1) << perm[j] for j in range(ncols)) for r in rows]
     assert BitMatrixF2(permuted, ncols).rank() == base
+
+
+# --- clearing -------------------------------------------------------------------
+
+
+def _assert_cleared_rows_add_no_rank(c):
+    """Every row of d_k at a pivot column of d_{k+1} adds no rank to the rows
+    of d_k before it; the rows of d_k are reduced here, not by
+    ``BitMatrixF2.rank``."""
+    for k in range(c.dim + 1):
+        up = boundary_matrix(c, k + 1)
+        up.rank()
+        basis: dict[int, int] = {}
+        for i, row in enumerate(boundary_matrix(c, k).rows):
+            while row and (lead := row.bit_length() - 1) in basis:
+                row ^= basis[lead]
+            if row:
+                basis[lead] = row
+            assert not row or i not in up.pivots, (k, i)
+
+
+def _shuffled(c, rng):
+    """The same complex with the cells of each dimension in a random order."""
+    cells = {d: rng.sample(c.cells_of(d), c.n_cells(d)) for d in range(c.dim + 1)}
+    return ChainComplexF2(cells, {cid: c.boundary_of(cid) for _, cid in c.all_cells()}, c.labels)
+
+
+def test_clearing_betti_matches_the_full_rank_reference_on_models(zoo):
+    models = list(zoo.values())
+    models += [build(g) for g in range(65) for build in (build_Y, build_B)]
+    for c in models:
+        assert betti(c) == reference_betti(c), c
+        _assert_cleared_rows_add_no_rank(c)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.integers(1, 2), st.randoms(use_true_random=False))
+def test_clearing_betti_matches_the_full_rank_reference_on_expansions(zoo, data, rounds, rng):
+    c = zoo[data.draw(st.sampled_from(sorted(zoo)))]
+    for r in range(rounds):  # the suffix keeps the next round's "+dup" ids new
+        c = _shuffled(rename_cells(with_elementary_expansions(c), lambda cid: f"{cid};{r}"), rng)
+    assert betti(c) == reference_betti(c)
+    _assert_cleared_rows_add_no_rank(c)
+
+
+def test_betti_leaves_out_the_rows_at_the_pivots_one_dimension_up(zoo, monkeypatch):
+    cases = [(c, [boundary_matrix(c, k).rank() for k in range(c.dim + 2)] + [0])
+             for c in (build_B(5), zoo["torus"])]
+    assert sum(cases[0][1]) > 0  # B(5) has rows to leave out
+    built, ranked = [], []
+    real_matrix, real_rank = homology.boundary_matrix, BitMatrixF2.rank
+
+    def recording_matrix(c, k, *rest):
+        m = real_matrix(c, k, *rest)
+        built.append((k, m))
+        return m
+
+    monkeypatch.setattr(homology, "boundary_matrix", recording_matrix)
+    monkeypatch.setattr(BitMatrixF2, "rank", lambda self: ranked.append(self) or real_rank(self))
+    for c, full in cases:
+        built.clear()
+        ranked.clear()
+        betti(c)
+        # d_{top+1} down to d_0, each built once and ranked once
+        assert [k for k, _ in built] == list(range(c.dim + 1, -1, -1))
+        assert ranked == [m for _, m in built]
+        for k, m in built:
+            assert m.shape == (c.n_cells(k) - full[k + 1], c.n_cells(k - 1)), k
 
 
 # --- invariance under renaming and refinement ----------------------------------
