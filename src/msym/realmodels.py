@@ -8,11 +8,17 @@ are canonical.
 
 A real-locus decomposition stores each homeomorphism type once together with
 its multiplicity; total Betti sums scale linearly with multiplicity.
+
+The blocks that do not depend on the genus (circle, Möbius band, solid torus,
+and their products: the tube, the 2-torus and the 3-torus) are built once per
+process, on first use, and shared: complexes are immutable, and neither
+``glue`` nor ``product`` mutates its inputs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import comb
 from typing import Iterable
 
@@ -20,10 +26,18 @@ from .genfun import _check_genus
 from .homology import BettiVector, ChainComplexF2, betti, glue, product
 
 
+@cache
+def _block_product(a: ChainComplexF2, b: ChainComplexF2) -> ChainComplexF2:
+    """``product`` of two shared blocks, built once.  Complexes hash by
+    identity, so any other argument would be kept alive for good."""
+    return product(a, b)
+
+
 def point(vertex: str = "pt") -> ChainComplexF2:
     return ChainComplexF2({0: [vertex]}, {})
 
 
+@cache
 def circle(vertex: str = "v", edge: str = "e") -> ChainComplexF2:
     """Circle with one vertex and one loop edge (empty mod-2 boundary)."""
     return ChainComplexF2({0: [vertex], 1: [edge]}, {edge: []})
@@ -82,6 +96,7 @@ def build_half_surface(g: int) -> ChainComplexF2:
     return ChainComplexF2({0: verts, 1: rims + arcs, 2: ["f"]}, bnd, labels)
 
 
+@cache
 def build_sym2_circle() -> ChainComplexF2:
     """Unordered pairs of circle points: a Möbius band.
 
@@ -96,6 +111,7 @@ def build_sym2_circle() -> ChainComplexF2:
     )
 
 
+@cache
 def build_sym3_circle() -> ChainComplexF2:
     """Unordered triples of circle points: a solid torus.
 
@@ -147,7 +163,7 @@ def build_B(g: int, *, glue_sym3: bool = True) -> ChainComplexF2:
     space used to check that the tubes do not change first homology).
     """
     g = _check_genus(g)
-    tube = product(circle(), build_sym2_circle())
+    tube = _block_product(circle(), build_sym2_circle())
     attachments = [
         (
             f"C{j + 1}",
@@ -171,7 +187,7 @@ def real_sym2_decomposition(g: int) -> RealLocusDecomposition:
     pieces: list[tuple[str, ChainComplexF2, int]] = [("Y", build_Y(g), 1)]
     tori = comb(g + 1, 2)
     if tori:
-        pieces.append(("torus", product(circle(), circle()), tori))
+        pieces.append(("torus", _block_product(circle(), circle()), tori))
     return RealLocusDecomposition(pieces=tuple(pieces))
 
 
@@ -182,6 +198,6 @@ def real_sym3_decomposition(g: int) -> RealLocusDecomposition:
     pieces: list[tuple[str, ChainComplexF2, int]] = []
     tori = comb(g + 1, 3)
     if tori:
-        pieces.append(("3-torus", product(product(circle(), circle()), circle()), tori))
+        pieces.append(("3-torus", _block_product(_block_product(circle(), circle()), circle()), tori))
     pieces.append(("B", build_B(g), g + 1))
     return RealLocusDecomposition(pieces=tuple(pieces))

@@ -112,15 +112,22 @@ def with_elementary_expansions(c: ChainComplexF2) -> ChainComplexF2:
     For each cell s a copy s+dup with the same boundary is added, together
     with a bridge cell one dimension up whose boundary is {s, s+dup}; each
     such pair collapses away, so the result is homotopy equivalent to c.
+    Where c already has such ids (an expansion of an expansion), the
+    suffixes get the first number that makes every new id fresh: s+dup1,
+    s+bridge1, and so on.
     """
     cells: dict[int, list[str]] = {d: list(c.cells_of(d)) for d in range(c.dim + 1)}
     bnd: dict[str, list[str]] = {}
     for d in range(1, c.dim + 1):
         for cid in c.cells_of(d):
             bnd[cid] = list(c.boundary_of(cid))
+    ids = {cid for _, cid in c.all_cells()}
+    r = 0
+    while any(f"{cid}+dup{r or ''}" in ids or f"{cid}+bridge{r or ''}" in ids for cid in ids):
+        r += 1
     for d, cid in list(c.all_cells()):
-        dup = f"{cid}+dup"
-        bridge = f"{cid}+bridge"
+        dup = f"{cid}+dup{r or ''}"
+        bridge = f"{cid}+bridge{r or ''}"
         cells.setdefault(d, []).append(dup)
         cells.setdefault(d + 1, []).append(bridge)
         if d >= 1:

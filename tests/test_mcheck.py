@@ -41,6 +41,16 @@ def test_check_bundle_example():
     assert rep.per_piece == ()
 
 
+@pytest.mark.parametrize("g", [1000, 4000])
+@pytest.mark.parametrize("n", [2, 3])
+def test_check_certifies_large_genus_on_cw_models(g, n):
+    rep = check(g, n)  # piece-count cross-check and Euler checks run inside
+    assert rep.verdict == M_VARIETY and rep.method == CW_MODELS
+    assert rep.real_sum == rep.complex_sum == betti_sum_sym(g, n)
+    model = ("Y", 1, (1, g + 1, 1)) if n == 2 else ("B", g + 1, (1, g + 1, g + 1, 1))
+    assert model in rep.per_piece
+
+
 def test_check_open_range():
     rep = check(3, 4)  # 4 <= n <= 2g-2 is genuinely open
     assert rep.verdict == UNSUPPORTED_RANGE

@@ -17,6 +17,7 @@ from msym import (
     build_sym2_circle,
     build_sym3_circle,
     build_Y,
+    check,
     circle,
     closed_form_sym2,
     closed_form_sym3,
@@ -26,6 +27,7 @@ from msym import (
     product,
     real_sym2_decomposition,
     real_sym3_decomposition,
+    realmodels,
 )
 
 
@@ -210,7 +212,7 @@ def test_betti_by_piece_reports_vectors():
 # --- one-pass gluing -------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("g", [0, 1, 2, 5, 17])
+@pytest.mark.parametrize("g", [0, 1, 2, 5, 17, 256])
 def test_models_match_chained_single_attachment_glue(g):
     assert build_Y(g).to_json() == chained_Y(g).to_json()
     assert build_B(g).to_json() == chained_B(g).to_json()
@@ -241,3 +243,76 @@ def test_large_model_survives_the_full_validator():
     back = ChainComplexF2.from_json(text)
     assert back.to_json() == text
     assert betti(back) == (1, 1001, 1001, 1)
+
+
+# --- shared genus-independent blocks -------------------------------------------------
+
+
+def _shared_blocks():
+    """Each genus-independent block as the models get it, with a copy built
+    from scratch by the uncached builders."""
+    fresh_circle, fresh_band = circle.__wrapped__(), build_sym2_circle.__wrapped__()
+    fresh_torus = product(circle.__wrapped__(), circle.__wrapped__())
+    torus = realmodels._block_product(circle(), circle())
+    return [
+        (circle(), fresh_circle),
+        (build_sym2_circle(), fresh_band),
+        (build_sym3_circle(), build_sym3_circle.__wrapped__()),
+        (realmodels._block_product(circle(), build_sym2_circle()), product(fresh_circle, fresh_band)),
+        (torus, fresh_torus),
+        (realmodels._block_product(torus, circle()), product(fresh_torus, fresh_circle)),
+    ]
+
+
+def test_a_second_check_builds_no_genus_independent_block(monkeypatch):
+    check(5, 3)
+    inits, products = [], []
+    real_init, real_product = ChainComplexF2.__init__, realmodels.product
+
+    def counting_init(self, cells, *rest):
+        inits.append(cells)
+        real_init(self, cells, *rest)
+
+    def counting_product(a, b):
+        products.append((a, b))
+        return real_product(a, b)
+
+    monkeypatch.setattr(ChainComplexF2, "__init__", counting_init)
+    monkeypatch.setattr(realmodels, "product", counting_product)
+    assert check(5, 3).verdict == "M_VARIETY"
+    # only what depends on g: the half surface, and circle x half surface
+    assert len(inits) == 1 and inits[0][2] == ["f"]
+    assert len(products) == 1 and products[0][0] is circle()
+
+
+def test_shared_blocks_are_the_same_objects_every_time():
+    assert circle() is circle()
+    assert build_sym2_circle() is build_sym2_circle()
+    assert build_sym3_circle() is build_sym3_circle()
+    assert real_sym2_decomposition(3).pieces[1][1] is real_sym2_decomposition(4).pieces[1][1]
+    assert real_sym3_decomposition(3).pieces[0][1] is real_sym3_decomposition(4).pieces[0][1]
+
+
+@pytest.mark.parametrize("g", [0, 1, 7])
+def test_building_models_leaves_the_shared_blocks_unchanged(g):
+    build_B(g), build_Y(g), build_B(g, glue_sym3=False)
+    real_sym2_decomposition(g).betti_by_piece()
+    real_sym3_decomposition(g).betti_by_piece()
+    for shared, fresh in _shared_blocks():
+        assert shared.to_json() == fresh.to_json()
+        assert betti(shared) == betti(fresh)
+
+
+def test_check_runs_betti_once_per_piece(monkeypatch):
+    calls = []
+    real_betti = realmodels.betti
+
+    def counting_betti(c):
+        calls.append(c)
+        return real_betti(c)
+
+    monkeypatch.setattr(realmodels, "betti", counting_betti)
+    report = check(7, 3)
+    assert [name for name, _, _ in report.per_piece] == ["3-torus", "B"]
+    assert len(calls) == 2
+    assert calls[0] is realmodels._block_product(realmodels._block_product(circle(), circle()), circle())
