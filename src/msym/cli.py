@@ -245,6 +245,9 @@ def _cmd_homology(args) -> int:
 
 
 def _cmd_verify_fibration(args) -> int:
+    if args.samples < 1:
+        print(f"error: --samples {args.samples} must be at least 1", file=sys.stderr)
+        return 2
     # nan and values <= 0 would fail every check, inf would pass every one
     if not (math.isfinite(args.tol) and args.tol > 0):
         print(f"error: --tol {args.tol!r} must be a finite number > 0", file=sys.stderr)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 from typing import Callable, Iterable
 
@@ -126,7 +127,8 @@ class SymTriple:
 
     def has_repeated_point(self, tol: float = ROUNDTRIP_TOL) -> bool:
         """Whether two of the three points coincide within tol (mod 1)."""
-        a, b, c = self.angles()
+        p1, p2, p3 = self.pts
+        a, b, c = p1.s, p2.s, p3.s
         return bool(b - a <= tol or c - b <= tol or (a + 1) - c <= tol)
 
 
@@ -144,8 +146,8 @@ class SimplexPoint:
 def theta(tr: SymTriple) -> CirclePoint:
     """Bundle projection: the product of the three circle entries, i.e. the
     sum of the three angles mod 1.  Independent of the ordering."""
-    a, b, c = tr.angles()
-    return CirclePoint(a + b + c)
+    a, b, c = tr.pts
+    return CirclePoint(a.s + b.s + c.s)
 
 
 def t_map(p: SimplexPoint, *, tol: float = ROUNDTRIP_TOL) -> SymTriple:
@@ -177,8 +179,9 @@ def t_inverse(tr: SymTriple, *, tol: float = FIBER_TOL) -> SimplexPoint:
     Raises :class:`FiberError` when the product of the entries is not 1
     within tol.
     """
-    lift = tr.angles()
-    sigma = lift[0] + lift[1] + lift[2]
+    p1, p2, p3 = tr.pts
+    s1, s2, s3 = p1.s, p2.s, p3.s
+    sigma = s1 + s2 + s3
     th = _mod1(sigma)  # theta(tr).s, without building the point
     if not (_circle_dist(th, 0) <= tol):  # a nan angle sum fails too
         raise FiberError(f"triple with angle sum {th} is not on the fiber over 1")
@@ -190,11 +193,16 @@ def t_inverse(tr: SymTriple, *, tol: float = FIBER_TOL) -> SimplexPoint:
         k = int(sigma)
     else:
         k = round(sigma)
-    assert 0 <= k <= 3, "the angles of a triple lie in [0, 1)"
-    s1, s2, s3 = lift
-    lift = (lift, (s3 - 1, s1, s2), (s2 - 1, s3 - 1, s1), (s1 - 1, s2 - 1, s3 - 1))[k]
-    d1 = lift[1] - lift[0]
-    d2 = lift[2] - lift[1]
+    if k == 1:
+        s1, s2, s3 = s3 - 1, s1, s2
+    elif k == 2:
+        s1, s2, s3 = s2 - 1, s3 - 1, s1
+    elif k == 3:
+        s1, s2, s3 = s1 - 1, s2 - 1, s3 - 1
+    elif k != 0:
+        raise AssertionError("the angles of a triple lie in [0, 1)")
+    d1 = s2 - s1
+    d2 = s3 - s2
     if not exact:
         # float rounding can push a boundary value a few ulps outside
         if d1 < 0.0:
@@ -257,21 +265,21 @@ def on_fiber_boundary_curve(tr: SymTriple) -> bool:
     return any((2 * v + m).denominator == 1 for v, m in candidates)
 
 
-def _rational_angles(max_denominator: int) -> Iterable[Fraction]:
-    """Each angle k/q in [0, 1) with q <= max_denominator once, in lowest
-    terms, ordered by denominator then numerator."""
-    for q in range(1, max_denominator + 1):
-        for k in range(q):
-            if gcd(k, q) == 1:
-                yield Fraction(k, q)
+@lru_cache(maxsize=1)
+def _diagonal_curve_candidates(max_denominator: int) -> tuple[SymTriple, ...]:
+    """The points (a, a, 0), a = k/q in [0, 1) in lowest terms, q <= max_denominator,
+    by q then k; built once per process, as sorting Fraction angles is the cost."""
+    return tuple(diagonal_curve_point(Fraction(k, q)) for q in range(1, max_denominator + 1)
+                 for k in range(q) if gcd(k, q) == 1)
 
 
 def _diagonal_curve_hits(on_curve: Callable[[SymTriple], bool], max_denominator: int):
     """Distinct points of the diagonal-direction curve that satisfy
-    ``on_curve``, searched over rational angles, sorted by their angles."""
+    ``on_curve``, searched over rational angles, sorted by their angles.
+    The candidates are built once per process; ``on_curve`` tests all of
+    them at every call."""
     found: dict[tuple, SymTriple] = {}
-    for a in _rational_angles(max_denominator):
-        tr = diagonal_curve_point(a)
+    for tr in _diagonal_curve_candidates(max_denominator):
         if on_curve(tr):
             found.setdefault(tr.angles(), tr)
     return tuple(found[k] for k in sorted(found))
@@ -371,7 +379,9 @@ def run_property_suite(
     Checks, over uniform triangle samples (with a deterministic share of
     exact edge points): that the fiber parametrization lands on the fiber,
     that its inverse undoes it, and that the repeated-point locus is exactly
-    the triangle boundary.  Exact curve intersections are recomputed as well.
+    the triangle boundary.  Both exact curve searches run their membership
+    predicate on every candidate point in every suite; only the candidate
+    points are built once per process.
     """
     if samples < 1:
         raise ValueError("need at least one sample")

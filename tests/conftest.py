@@ -13,7 +13,9 @@ import pytest
 from msym import (
     BitMatrixF2,
     ChainComplexF2,
+    FiberError,
     GradedPoly,
+    SimplexPoint,
     boundary_matrix,
     build_B,
     build_half_surface,
@@ -26,6 +28,7 @@ from msym import (
     point,
     product,
 )
+from msym.fibration import _circle_dist, _mod1
 
 
 def without_labels(c: ChainComplexF2) -> ChainComplexF2:
@@ -223,6 +226,42 @@ def reference_sorted_points(pts):
         if b.s < a.s:
             a, b = b, a
     return (a, b, c)
+
+
+def reference_t_inverse(tr, *, tol=1e-12):
+    """Reference for ``t_inverse``: the version that built all four shifted
+    lifts of the sorted angles and then indexed the one for k."""
+    lift = tr.angles()
+    sigma = lift[0] + lift[1] + lift[2]
+    th = _mod1(sigma)  # theta(tr).s, without building the point
+    if not (_circle_dist(th, 0) <= tol):  # a nan angle sum fails too
+        raise FiberError(f"triple with angle sum {th} is not on the fiber over 1")
+    # sigma is exact iff all three angles are, and then so are d1 and d2
+    exact = type(sigma) is not float and isinstance(sigma, Fraction)
+    if exact:
+        if sigma.denominator != 1:
+            raise FiberError(f"exact triple has non-integral angle sum {sigma}")
+        k = int(sigma)
+    else:
+        k = round(sigma)
+    assert 0 <= k <= 3, "the angles of a triple lie in [0, 1)"
+    s1, s2, s3 = lift
+    lift = (lift, (s3 - 1, s1, s2), (s2 - 1, s3 - 1, s1), (s1 - 1, s2 - 1, s3 - 1))[k]
+    d1 = lift[1] - lift[0]
+    d2 = lift[2] - lift[1]
+    if not exact:
+        # float rounding can push a boundary value a few ulps outside
+        if d1 < 0.0:
+            d1 = 0.0
+        elif d1 > 1.0:
+            d1 = 1.0
+        if d2 < 0.0:
+            d2 = 0.0
+        elif d2 > 1.0:
+            d2 = 1.0
+        if d1 + d2 > 1.0:
+            d2 = 1.0 - d1
+    return SimplexPoint(d1, d2)
 
 
 @pytest.fixture(scope="session")

@@ -461,6 +461,13 @@ def test_verify_fibration_rejects_bad_tolerance(capsys, tol):
     assert err == f"error: --tol {float(tol)!r} must be a finite number > 0\n"
 
 
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_verify_fibration_rejects_too_few_samples_naming_the_flag(capsys, samples):
+    code, out, err = run(capsys, ["verify-fibration", "--samples", samples])
+    assert (code, out) == (2, "")
+    assert err == f"error: --samples {samples} must be at least 1\n"
+
+
 def test_export_model_round_trip(capsys):
     code, out, _ = run(capsys, ["export-model", "--name", "B", "--g", "2"])
     assert code == 0

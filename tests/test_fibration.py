@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import reference_circle_angle, reference_sorted_points
+import msym.fibration as fibration
+from conftest import reference_circle_angle, reference_sorted_points, reference_t_inverse
 from msym import (
     CirclePoint,
     DomainError,
@@ -315,6 +316,90 @@ def test_triple_rejects_what_the_reference_rejects(make):
     assert _outcome(SymTriple, make()) == expected
 
 
+def _inverse_outcome(fn, tr, tol):
+    return _outcome(lambda t: repr(fn(t, tol=tol).as_tuple()), tr)
+
+
+def _assert_inverse_matches_the_reference(tr):
+    for tol in (1e-12, 1e-6):
+        assert _inverse_outcome(t_inverse, tr, tol) == _inverse_outcome(reference_t_inverse, tr, tol)
+
+
+@given(st.floats(0, 1), st.floats(0, 1))
+def test_t_inverse_matches_the_reference_on_the_fiber(u, v):
+    if u + v > 1:
+        u, v = 1 - u, 1 - v
+    _assert_inverse_matches_the_reference(t_map(SimplexPoint(u, v)))
+
+
+_NEAR_WRAP = st.one_of(st.floats(0, 1e-9), st.floats(1 - 1e-9, 1, exclude_max=True))
+
+
+@given(_NEAR_WRAP, _NEAR_WRAP, st.sampled_from([0.0, 1e-9, -1e-9, 1e-5]))
+def test_t_inverse_matches_the_reference_near_the_wrap(a, b, offset):
+    # the third angle brings the sum to offset mod 1: on the fiber within one
+    # tolerance or both, or off it, where both must raise the same error
+    _assert_inverse_matches_the_reference(SymTriple.from_angles(a, b, (offset - a - b) % 1.0))
+
+
+_FRACTIONS = st.fractions(min_value=-2, max_value=2, max_denominator=60)
+
+
+@given(_FRACTIONS, _FRACTIONS, _FRACTIONS)
+def test_t_inverse_matches_the_reference_on_exact_triples(a, b, c):
+    _assert_inverse_matches_the_reference(SymTriple.from_angles(a, b, -a - b))
+    _assert_inverse_matches_the_reference(SymTriple.from_angles(a, b, c))
+    d1, d2 = a % 1, b % 1
+    if d1 + d2 <= 1:
+        _assert_inverse_matches_the_reference(t_map(SimplexPoint(d1, d2)))
+
+
+@pytest.mark.parametrize("angles,k", [
+    ((0.0, 0.0, 0.0), 0), ((0.1, 0.3, 0.6), 1), ((0.5, 0.7, 0.8), 2),
+    ((1 - 1e-10, 1 - 2e-10, 1 - 3e-10), 3),
+    ((Fr(0), Fr(1, 5), Fr(4, 5)), 1), ((Fr(1, 2), Fr(3, 4), Fr(3, 4)), 2),
+    ((0.0, 0.0, 1 - 1e-13), 1), ((0.5, 0.5, 1 - 1e-13), 2),
+], ids=repr)
+def test_t_inverse_matches_the_reference_in_every_lift(angles, k):
+    tr = SymTriple.from_angles(*angles)
+    assert round(sum(tr.angles())) == k
+    _assert_inverse_matches_the_reference(tr)
+
+
+@pytest.mark.parametrize("angles", [
+    (0.1, 0.2, 0.3), (Fr(1, 4), Fr(1, 4), Fr(1, 4)), (NAN, NAN, NAN), (NAN, 0.1, 0.2),
+    (float("inf"), 0.0, 0.0), (0.5, 0.5, 1e-5),
+], ids=repr)
+def test_t_inverse_fails_like_the_reference_off_the_fiber(angles):
+    tr = SymTriple.from_angles(*angles)
+    for tol in (1e-12, 1e-6):
+        got = _inverse_outcome(t_inverse, tr, tol)
+        assert got[0] == "raises" and got[1] in (FiberError, DomainError)
+        assert got == _inverse_outcome(reference_t_inverse, tr, tol)
+
+
+def _unchecked_triple(*angles):
+    """A triple whose stored angles skip the reduction mod 1."""
+    pts = []
+    for a in angles:
+        p = object.__new__(CirclePoint)
+        object.__setattr__(p, "s", a)
+        pts.append(p)
+    tr = object.__new__(SymTriple)
+    object.__setattr__(tr, "pts", tuple(pts))
+    return tr
+
+
+@pytest.mark.parametrize("angles", [(1.5, 1.5, 1.0), (-0.5, -0.25, -0.25)], ids=repr)
+def test_t_inverse_fails_like_the_reference_on_an_out_of_range_lift(angles):
+    tr = _unchecked_triple(*angles)
+    got = _inverse_outcome(t_inverse, tr, 1e-12)
+    assert got == ("raises", AssertionError, "the angles of a triple lie in [0, 1)")
+    # the reference's assert statement gets pytest's explanation appended
+    want = _inverse_outcome(reference_t_inverse, tr, 1e-12)
+    assert want[:2] == got[:2] and want[2].startswith(got[2])
+
+
 # --- exact curve intersections -------------------------------------------------------
 
 
@@ -345,6 +430,47 @@ def test_intersection_counts():
         (Fr(0), Fr(0), Fr(0)),
         (Fr(0), Fr(1, 2), Fr(1, 2)),
     }
+
+
+# the default search tests (a, a, 0) for every a = k/q in [0, 1) in lowest
+# terms with q <= 24
+DIAGONAL_CANDIDATES = 180
+
+
+@pytest.mark.parametrize("predicate,field", [
+    ("on_section_curve", "section_intersections"),
+    ("on_fiber_boundary_curve", "fiber_boundary_intersections"),
+])
+def test_every_suite_runs_its_curve_search_again(monkeypatch, predicate, field):
+    assert run_property_suite(samples=10, seed=1).all_passed  # the search is warm
+    tested = []
+
+    def reject(tr):
+        tested.append(tr)
+        return False
+
+    monkeypatch.setattr(fibration, predicate, reject)
+    report = run_property_suite(samples=10, seed=1)
+    assert getattr(report, field) == 0
+    assert not report.all_passed
+    assert len(tested) == len(set(tested)) == DIAGONAL_CANDIDATES
+
+
+def test_a_second_suite_builds_no_curve_point(monkeypatch):
+    calls = []
+    build = fibration.diagonal_curve_point
+
+    def counting(a):
+        calls.append(a)
+        return build(a)
+
+    monkeypatch.setattr(fibration, "diagonal_curve_point", counting)
+    first = run_property_suite(samples=10, seed=1)
+    built = len(calls)
+    assert built in (0, DIAGONAL_CANDIDATES)  # 0 when an earlier test built them
+    second = run_property_suite(samples=10, seed=2)
+    assert len(calls) == built
+    assert first.all_passed and second.all_passed
 
 
 # --- randomized suite ------------------------------------------------------------------
