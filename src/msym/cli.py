@@ -281,26 +281,23 @@ def _cmd_verify_fibration(args) -> int:
     return 0 if report.all_passed else 1
 
 
-_MODEL_NEEDS_GENUS = {"half", "Y", "B"}
+# model name -> (its builder in realmodels, whether it takes --g); looked up
+# at call time, so a wrapper installed on the module sees the call
+_MODELS = {"half": ("build_half_surface", True), "Y": ("build_Y", True), "B": ("build_B", True),
+           "sym2circle": ("build_sym2_circle", False), "sym3circle": ("build_sym3_circle", False)}
 
 
 def _cmd_export_model(args) -> int:
-    if args.name in _MODEL_NEEDS_GENUS:
-        if args.g is None:
-            print(f"error: model {args.name} requires --g", file=sys.stderr)
-            return 2
-        if args.g > MAX_MODEL_GENUS:
-            return _reject_genus("--g", args.g)
-    if args.name == "half":
-        cw = realmodels.build_half_surface(args.g)
-    elif args.name == "Y":
-        cw = realmodels.build_Y(args.g)
-    elif args.name == "B":
-        cw = realmodels.build_B(args.g)
-    elif args.name == "sym2circle":
-        cw = realmodels.build_sym2_circle()
-    else:
-        cw = realmodels.build_sym3_circle()
+    builder, takes_genus = _MODELS[args.name]
+    if takes_genus != (args.g is not None):
+        fault = (f"model {args.name} requires --g" if takes_genus
+                 else f"--g is not used with model {args.name}")
+        print(f"error: {fault}", file=sys.stderr)
+        return 2
+    if takes_genus and args.g > MAX_MODEL_GENUS:
+        return _reject_genus("--g", args.g)
+    build = getattr(realmodels, builder)
+    cw = build(args.g) if takes_genus else build()
     text = cw.to_json()
     if args.out:
         try:
@@ -365,8 +362,7 @@ def _parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify_fibration)
 
     p = sub.add_parser("export-model", help="write a curated CW model as JSON")
-    p.add_argument("--name", required=True,
-                   choices=["half", "Y", "B", "sym2circle", "sym3circle"])
+    p.add_argument("--name", required=True, choices=list(_MODELS))
     p.add_argument("--g", type=int, help="genus (required for half, Y, B)")
     p.add_argument("--out", help="output path (default: stdout)")
     p.set_defaults(func=_cmd_export_model)

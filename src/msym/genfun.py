@@ -12,6 +12,7 @@ rationals; there is no floating point.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -75,18 +76,23 @@ class GradedPoly:
         return " + ".join(terms)
 
 
+def _check_nonnegative(value: int, what: str, error: type[ValueError] = ValueError) -> int:
+    """``value`` as a nonnegative int, by ``operator.index``: 2.9 or "3" raise ``error``."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise error(f"{what} must be an integer, got {value!r}") from None
+    if value < 0:
+        raise error(f"{what} must be nonnegative, got {value}")
+    return value
+
+
 def _check_genus(g: int) -> int:
-    g = int(g)
-    if g < 0:
-        raise ValueError(f"genus must be nonnegative, got {g}")
-    return g
+    return _check_nonnegative(g, "genus")
 
 
 def _check_power(n: int) -> int:
-    n = int(n)
-    if n < 0:
-        raise ValueError(f"symmetric power must be nonnegative, got {n}")
-    return n
+    return _check_nonnegative(n, "symmetric power")
 
 
 def poincare_sym(g: int, n: int) -> GradedPoly:
@@ -165,9 +171,7 @@ def betti_sum_large_n(g: int, n: int) -> int:
     not valid and :class:`RangeError` is raised.
     """
     g = _check_genus(g)
-    n = int(n)
-    if n < 0:
-        raise RangeError(f"symmetric power must be nonnegative, got {n}")
+    n = _check_nonnegative(n, "symmetric power", RangeError)
     if n < 2 * g - 1:
         raise RangeError(f"bundle formula requires n >= 2g - 1, got n={n}, g={g}")
     return 4 ** g * (n - g + 1)

@@ -1,13 +1,15 @@
 """Finite CW/chain complexes over the field with two elements.
 
-A complex stores its cells by position: per dimension a tuple of string
+A complex stores its cells by position: per dimension a tuple of ``str``
 cell ids, whose order gives each cell its position; per cell the set of
 positions, one dimension down, of its faces with odd incidence (mod-2
 boundaries carry no signs and no multiplicities); per label the
-(dimension, position) pairs of its members.  Names are resolved once, on
-construction, and read back only on output.  The constructor checks the
-boundary of the boundary and the closure of labels on positions, so every
-:class:`ChainComplexF2` in circulation is a valid chain complex.
+(dimension, position) pairs of its members.  Ids and label names are used
+as given, never converted to ``str``.  They are resolved once, on
+construction, in the pass that checks them, and read back only on output.
+The constructor checks the boundary of the boundary and the closure of
+labels on positions, so every :class:`ChainComplexF2` in circulation is a
+valid chain complex.
 
 Betti numbers come from Gaussian elimination over GF(2) on boundary
 matrices read off the stored positions, one Python int per row, with
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 import json
 from itertools import chain, repeat
-from typing import Container, Iterable, Mapping
+from typing import Collection, Container, Iterable, Mapping
 
 BettiVector = tuple[int, ...]
 
@@ -105,64 +107,61 @@ class BitMatrixF2(object):
 
 class ChainComplexF2(object):
     """Immutable finite chain complex over GF(2) with labeled subcomplexes,
-    built from cell ids; of several faults, the first in input order is
-    reported.  Stored: ``_cells[d]``, the d-cell ids; ``_index[d]``, d-cell
-    id -> position; ``_faces[d][i]``, the face positions of the i-th d-cell;
-    ``_labels``, name -> set of (dimension, position) pairs."""
+    built from ``str`` cell ids taken as given; of several faults, the first
+    in input order is reported.  Stored: ``_cells[d]``, the d-cell ids;
+    ``_index[d]``, d-cell id -> position; ``_faces[d][i]``, the face positions
+    of the i-th d-cell; ``_labels``, name -> set of (dimension, position) pairs."""
 
     __slots__ = ("_cells", "_index", "_faces", "_labels")
 
     def __init__(
         self,
         cells: Mapping[int, Iterable[str]],
-        boundary: Mapping[str, Iterable[str]],
-        labels: Mapping[str, Iterable[str]] | None = None,
+        boundary: Mapping[str, Collection[str]],
+        labels: Mapping[str, Collection[str]] | None = None,
     ):
         by_dim: dict[int, tuple[str, ...]] = {}
         for dim, ids in cells.items():
             d = int(dim)
             if d < 0:
                 raise InvalidComplexError(f"negative cell dimension {d}")
-            by_dim[d] = tuple(map(str, ids))
+            by_dim[d] = tuple(ids)
         top = max((d for d, ids in by_dim.items() if ids), default=-1)
         dims = self._set_cells(tuple(by_dim.get(d, ()) for d in range(top + 1)))
         index = self._index
-        # lookups[d] finds a position among the (d - 1)-cells; there are none for d = 0
-        lookups = [{}.__getitem__] + [ix.__getitem__ for ix in index]
+        # lookups[d] finds a position among the (d - 1)-cells, or None; there are none for d = 0
+        lookups = [{}.get] + [ix.get for ix in index]
         faces = [[frozenset()] * len(ids) for ids in self._cells]
         for cid, face_ids in boundary.items():
-            try:
-                n = len(face_ids)  # before any id is read, so an iterator reaches _resolve whole
-                d = dims[cid]
-                i = index[d][cid]
-                pos = frozenset(map(lookups[d], face_ids))
-            except (KeyError, TypeError):  # a fault, ids that are not str, or an iterator
-                pos = None
-            if pos is None or len(pos) != n:
-                d, i, pos = self._resolve(cid, face_ids)
-            faces[d][i] = pos
+            d = dims.get(cid)
+            if (d is None or None in (pos := frozenset(map(lookups[d], face_ids)))
+                    or len(pos) != len(face_ids)):
+                raise _boundary_fault(cid, d, face_ids, dims)
+            faces[d][index[d][cid]] = pos
         self._faces = tuple(map(tuple, faces))
 
-        bad = {(d, i): odd for d in range(2, top + 1)
+        bad = {self._cells[d][i]: odd for d in range(2, top + 1)
                for i, fs in enumerate(faces[d]) if (odd := _sum(faces[d - 1], fs))}
-        if bad:
-            cid = next(cid for cid in map(str, boundary) if self._locate(cid) in bad)
-            d, i = self._locate(cid)
-            names = sorted(map(self._cells[d - 2].__getitem__, bad[d, i]))
+        if bad:  # every cell with faces has a boundary entry
+            cid = next(filter(bad.__contains__, boundary))
+            names = sorted(map(self._cells[dims[cid] - 2].__getitem__, bad[cid]))
             raise InvalidComplexError(f'cell "{cid}": boundary of boundary is {names}, not zero')
 
         self._labels = {}
         for name, ids in (labels or {}).items():
-            name, ids = str(name), tuple(map(str, ids))
             try:
-                label = frozenset((dims[c], index[dims[c]][c]) for c in ids)
+                label = frozenset((d := dims[c], index[d][c]) for c in ids)
             except KeyError:
                 label = None
             if label is None or not label.issuperset([(d - 1, f) for d, i in label
                                                       if d for f in faces[d][i]]):
-                cid = next(c for c in ids if c not in dims or not self.boundary_of(c) <= set(ids))
-                fault = "not closed under boundary at" if cid in dims else "unknown"
-                raise InvalidComplexError(f'label "{name}": {fault} cell "{cid}"')
+                members = {(d, index[d][c]) for c in ids if (d := dims.get(c)) is not None}
+                for cid in ids:  # the first member that is unknown or has a face outside the label
+                    d = dims.get(cid)
+                    if d is None or not members.issuperset((d - 1, f) for f in faces[d][index[d][cid]]):
+                        fault = "unknown" if d is None else "not closed under boundary at"
+                        raise InvalidComplexError(f'label "{name}": {fault} cell "{cid}"')
+                raise TypeError(f'label "{name}": the members must be a collection, not an iterator')
             self._labels[name] = label
 
     def _set_cells(self, cells: tuple[tuple[str, ...], ...]) -> dict[str, int]:
@@ -178,33 +177,6 @@ class ChainComplexF2(object):
         self._cells = cells
         self._index = tuple(dict(zip(ids, range(len(ids)))) for ids in cells)
         return dims
-
-    def _locate(self, cid: str) -> tuple[int, int]:
-        """Dimension and position of a cell id; KeyError if there is none."""
-        for d, ix in enumerate(self._index):
-            if cid in ix:
-                return d, ix[cid]
-        raise KeyError(cid)
-
-    def _resolve(self, cid, face_ids) -> tuple[int, int, frozenset[int]]:
-        """Dimension, position and face positions of one boundary entry, with
-        every id taken as str; raises on its first fault in input order."""
-        cid = str(cid)
-        if cid not in self:
-            raise InvalidComplexError(f'boundary given for unknown cell "{cid}"')
-        d, i = self._locate(cid)
-        face_ids = [str(f) for f in face_ids]
-        if len(set(face_ids)) != len(face_ids):
-            raise InvalidComplexError(f'cell "{cid}": repeated face (mod-2 boundaries must be pre-reduced)')
-        if d == 0 and face_ids:
-            raise InvalidComplexError(f'0-cell "{cid}" cannot have a boundary')
-        for f in face_ids:
-            if f not in self:
-                raise InvalidComplexError(f'cell "{cid}": unknown face "{f}"')
-            if self.dim_of(f) != d - 1:
-                raise InvalidComplexError(f'cell "{cid}": face "{f}" has dimension '
-                                          f'{self.dim_of(f)}, expected {d - 1}')
-        return d, i, frozenset(map(self._index[d - 1].__getitem__, face_ids))
 
     @classmethod
     def _from_positions(cls, cells, faces, labels) -> "ChainComplexF2":
@@ -229,18 +201,11 @@ class ChainComplexF2(object):
     def n_cells(self, dim: int) -> int:
         return len(self.cells_of(dim))
 
-    def all_cells(self):
-        return ((d, cid) for d, ids in enumerate(self._cells) for cid in ids)
-
-    def dim_of(self, cid: str) -> int:
-        return self._locate(cid)[0]
-
-    def __contains__(self, cid: str) -> bool:
-        return any(cid in ix for ix in self._index)
-
     def boundary_of(self, cid: str) -> frozenset[str]:
-        d, i = self._locate(cid)  # a 0-cell has no faces to look up
-        return frozenset(map(self._cells[d - 1].__getitem__, self._faces[d][i]))
+        for d, ix in enumerate(self._index):
+            if cid in ix:  # a 0-cell has no faces to look up
+                return frozenset(map(self._cells[d - 1].__getitem__, self._faces[d][ix[cid]]))
+        raise KeyError(cid)
 
     @property
     def labels(self) -> dict[str, frozenset[str]]:
@@ -314,6 +279,21 @@ class ChainComplexF2(object):
         return cls.from_json_obj(obj)
 
 
+def _boundary_fault(cid: str, d: int | None, face_ids, dims: Mapping[str, int]) -> InvalidComplexError:
+    """The fault of a boundary entry that did not resolve: an unknown cell, a
+    repeated face, faces of a 0-cell, or the first bad face, in that order."""
+    if d is None:
+        return InvalidComplexError(f'boundary given for unknown cell "{cid}"')
+    if len(set(face_ids)) != len(face_ids):
+        return InvalidComplexError(f'cell "{cid}": repeated face (mod-2 boundaries must be pre-reduced)')
+    if d == 0:
+        return InvalidComplexError(f'0-cell "{cid}" cannot have a boundary')
+    f = next(f for f in face_ids if dims.get(f) != d - 1)
+    if f not in dims:
+        return InvalidComplexError(f'cell "{cid}": unknown face "{f}"')
+    return InvalidComplexError(f'cell "{cid}": face "{f}" has dimension {dims[f]}, expected {d - 1}')
+
+
 def _check_string_lists(mapping: dict, message: str) -> None:
     """Raise ``CWFormatError(message.format(key))`` for the first key whose
     value is not a list of strings; exact types, as JSON decodes them, skip
@@ -383,7 +363,7 @@ def euler_char(c: ChainComplexF2) -> int:
 def is_nullhomologous(c: ChainComplexF2, dim: int, chain: Iterable[str]) -> bool:
     """Whether a cycle (set of dim-cells with zero mod-2 boundary) bounds."""
     index, members = c._index[dim] if 0 <= dim <= c.dim else {}, []
-    for cid in dict.fromkeys(map(str, chain)):
+    for cid in dict.fromkeys(chain):
         if cid not in index:
             raise ValueError(f'"{cid}" is not a {dim}-cell of the complex')
         members.append(index[cid])

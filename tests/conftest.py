@@ -41,7 +41,7 @@ def without_labels(c: ChainComplexF2) -> ChainComplexF2:
 
 def rename_cells(c: ChainComplexF2, fn: Callable[[str], str]) -> ChainComplexF2:
     """Apply an injective renaming to every cell identifier."""
-    new_id = {cid: str(fn(cid)) for _, cid in c.all_cells()}
+    new_id = {cid: str(fn(cid)) for d in range(c.dim + 1) for cid in c.cells_of(d)}
     if len(set(new_id.values())) != len(new_id):
         raise ValueError("renaming is not injective")
     cells = {d: [new_id[cid] for cid in c.cells_of(d)] for d in range(c.dim + 1)}
@@ -67,6 +67,59 @@ def disjoint_union(a: ChainComplexF2, b: ChainComplexF2) -> ChainComplexF2:
         for name, members in side.labels.items():
             labs[f"{prefix}:{name}"] = [f"{prefix}:{cid}" for cid in members]
     return ChainComplexF2(cells, bnd, labs)
+
+
+def reference_fault(obj: dict) -> str | None:
+    """Reference for the first fault ``ChainComplexF2.from_json_obj`` names
+    in a well-typed CW object (dimension keys of digits; ids, faces and
+    members strings), straight from the documented rules and in their order:
+
+    1. ids, by dimension then in list order: an empty or a repeated id;
+    2. boundary entries in input order: an unknown cell, a repeated face,
+       faces of a 0-cell, then the first unknown or wrong-dimension face;
+    3. boundary entries in input order: a nonzero boundary of the boundary;
+    4. labels in input order, members in input order: an unknown member, or
+       one whose faces are not all in the label.
+
+    None when the object is a valid complex.
+    """
+    cells = obj["cells"]
+    boundary = obj.get("boundary", {})
+    labels = obj.get("labels", {})
+    dim_of: dict[str, int] = {}
+    for d in sorted(cells, key=int):
+        for cid in cells[d]:
+            if cid == "":
+                return "empty cell identifier"
+            if cid in dim_of:
+                return f'duplicate cell id "{cid}"'
+            dim_of[cid] = int(d)
+    for cid, faces in boundary.items():
+        if cid not in dim_of:
+            return f'boundary given for unknown cell "{cid}"'
+        if len(set(faces)) < len(faces):
+            return f'cell "{cid}": repeated face (mod-2 boundaries must be pre-reduced)'
+        d = dim_of[cid]
+        if d == 0 and faces:
+            return f'0-cell "{cid}" cannot have a boundary'
+        for f in faces:
+            if f not in dim_of:
+                return f'cell "{cid}": unknown face "{f}"'
+            if dim_of[f] != d - 1:
+                return f'cell "{cid}": face "{f}" has dimension {dim_of[f]}, expected {d - 1}'
+    for cid, faces in boundary.items():
+        odd: set[str] = set()
+        for f in faces:
+            odd ^= set(boundary.get(f, []))
+        if odd:
+            return f'cell "{cid}": boundary of boundary is {sorted(odd)}, not zero'
+    for name, members in labels.items():
+        for cid in members:
+            if cid not in dim_of:
+                return f'label "{name}": unknown cell "{cid}"'
+            if not set(boundary.get(cid, [])) <= set(members):
+                return f'label "{name}": not closed under boundary at cell "{cid}"'
+    return None
 
 
 def transpose(m: BitMatrixF2) -> BitMatrixF2:
@@ -124,18 +177,19 @@ def with_elementary_expansions(c: ChainComplexF2) -> ChainComplexF2:
     for d in range(1, c.dim + 1):
         for cid in c.cells_of(d):
             bnd[cid] = list(c.boundary_of(cid))
-    ids = {cid for _, cid in c.all_cells()}
+    ids = {cid for d in range(c.dim + 1) for cid in c.cells_of(d)}
     r = 0
     while any(f"{cid}+dup{r or ''}" in ids or f"{cid}+bridge{r or ''}" in ids for cid in ids):
         r += 1
-    for d, cid in list(c.all_cells()):
-        dup = f"{cid}+dup{r or ''}"
-        bridge = f"{cid}+bridge{r or ''}"
-        cells.setdefault(d, []).append(dup)
-        cells.setdefault(d + 1, []).append(bridge)
-        if d >= 1:
-            bnd[dup] = list(c.boundary_of(cid))
-        bnd[bridge] = [cid, dup]
+    for d in range(c.dim + 1):
+        for cid in c.cells_of(d):
+            dup = f"{cid}+dup{r or ''}"
+            bridge = f"{cid}+bridge{r or ''}"
+            cells.setdefault(d, []).append(dup)
+            cells.setdefault(d + 1, []).append(bridge)
+            if d >= 1:
+                bnd[dup] = list(c.boundary_of(cid))
+            bnd[bridge] = [cid, dup]
     return ChainComplexF2(cells, bnd, c.labels)
 
 

@@ -481,6 +481,12 @@ def test_export_model_no_genus_needed_for_circle_models(capsys):
     assert betti(ChainComplexF2.from_json(out)) == (1, 1, 0, 0)
 
 
+@pytest.mark.parametrize("name", ["sym2circle", "sym3circle"])
+def test_export_model_rejects_genus_for_genus_free_models(capsys, name):
+    code, out, err = run(capsys, ["export-model", "--name", name, "--g", "5"])
+    assert (code, out, err) == (2, "", f"error: --g is not used with model {name}\n")
+
+
 def test_export_model_requires_genus_for_surfaces(capsys):
     code, _, err = run(capsys, ["export-model", "--name", "half"])
     assert code == 2
@@ -533,9 +539,9 @@ def test_md_tables_are_pipe_aligned(capsys):
 ])
 def test_closed_stdout_exits_141_without_traceback(argv):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    proc = subprocess.Popen([sys.executable, "-m", "msym.cli", *argv],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
-    proc.stdout.close()  # the reader is gone before the first byte is written
-    err = proc.stderr.read()
-    assert proc.wait(timeout=60) == 141
+    with subprocess.Popen([sys.executable, "-m", "msym.cli", *argv],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        proc.stdout.close()  # the reader is gone before the first byte is written
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 141
     assert b"Traceback" not in err and b"BrokenPipeError" not in err

@@ -9,6 +9,7 @@ oracle.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import comb
 
@@ -22,6 +23,9 @@ from msym import (
     RangeError,
     betti_sum_large_n,
     betti_sum_sym,
+    build_B,
+    build_Y,
+    check,
     closed_form_sym2,
     closed_form_sym3,
     poincare_sym,
@@ -177,6 +181,27 @@ def test_invalid_inputs():
         betti_sum_sym(-3, 0)
     with pytest.raises(ValueError):
         closed_form_sym2(-1)
+
+
+@pytest.mark.parametrize("bad", [2.5, "3"])
+@pytest.mark.parametrize("call,what,error", [
+    (lambda x: betti_sum_sym(x, 3), "genus", ValueError),
+    (lambda x: betti_sum_sym(2, x), "symmetric power", ValueError),
+    (lambda x: poincare_sym(x, 3), "genus", ValueError),
+    (lambda x: poincare_sym(2, x), "symmetric power", ValueError),
+    (lambda x: closed_form_sym3(x), "genus", ValueError),
+    (lambda x: betti_sum_large_n(x, 9), "genus", ValueError),
+    (lambda x: betti_sum_large_n(1, x), "symmetric power", RangeError),
+    (lambda x: check(x, 2), "genus", ValueError),
+    (lambda x: check(2, x), "symmetric power", ValueError),
+    (lambda x: build_Y(x), "genus", ValueError),
+    (lambda x: build_B(x), "genus", ValueError),
+], ids=["betti_sum_sym-g", "betti_sum_sym-n", "poincare_sym-g", "poincare_sym-n",
+        "closed_form_sym3", "betti_sum_large_n-g", "betti_sum_large_n-n", "check-g", "check-n",
+        "build_Y", "build_B"])
+def test_genus_and_power_must_be_integers(call, what, error, bad):
+    with pytest.raises(error, match=re.escape(f"{what} must be an integer, got {bad!r}")):
+        call(bad)
 
 
 def test_integrality_guard():

@@ -11,6 +11,7 @@ from conftest import (
     disjoint_union,
     klein_bottle,
     reference_betti,
+    reference_fault,
     rename_cells,
     sphere,
     subdivided_circle,
@@ -236,7 +237,7 @@ def test_glue_names_the_failing_attachment():
 def test_glue_keeps_base_ids_and_namespaces_attached_side():
     out = glue(disc(), [("boundary", build_sym2_circle(), "diagonal",
                          {"bd_v": "v", "bd_e": "e"}, "band")])
-    ids = {cid for _, cid in out.all_cells()}
+    ids = {cid for d in range(out.dim + 1) for cid in out.cells_of(d)}
     assert {"v", "e", "f"} <= ids
     assert "band:core_v" in ids and "band:sheet" in ids
     assert "band:core" in out.labels and "diagonal" not in out.labels
@@ -340,7 +341,7 @@ def _assert_cleared_rows_add_no_rank(c):
 def _shuffled(c, rng):
     """The same complex with the cells of each dimension in a random order."""
     cells = {d: rng.sample(c.cells_of(d), c.n_cells(d)) for d in range(c.dim + 1)}
-    return ChainComplexF2(cells, {cid: c.boundary_of(cid) for _, cid in c.all_cells()}, c.labels)
+    return ChainComplexF2(cells, {cid: c.boundary_of(cid) for d in range(c.dim + 1) for cid in c.cells_of(d)}, c.labels)
 
 
 def test_clearing_betti_matches_the_full_rank_reference_on_models(zoo):
@@ -494,6 +495,15 @@ def test_construction_rejects_bad_labels():
             {"e": ["u", "v"]},
             {"L": ["e", "u"]},
         )
+
+
+def test_construction_takes_face_and_member_lists_as_collections_not_iterators():
+    with pytest.raises(TypeError):
+        ChainComplexF2({0: ["v"], 1: ["e"]}, {"e": iter(["v"])})
+    with pytest.raises(TypeError, match='label "L": the members must be a collection, not an iterator'):
+        ChainComplexF2({0: ["v"], 1: ["e"]}, {"e": ["v"]}, {"L": iter(["e"])})
+    closed = ChainComplexF2({0: ["v"], 1: ["e"]}, {"e": ["v"]}, {"L": iter(["e", "v"])})
+    assert closed.label("L") == {"e", "v"}
 
 
 def test_construction_rejects_zero_cell_boundary():
@@ -672,6 +682,62 @@ def test_from_json_parses_or_raises_only_cw_format_error(text):
     except CWFormatError:
         return
     assert ChainComplexF2.from_json(cw.to_json()).to_json_obj() == cw.to_json_obj()
+
+
+# ids each dimension may hold; strays ("", an unknown id, an id of any
+# dimension, repeats) are shuffled into a cell list, a face list, the
+# boundary keys or a label now and then
+_DIM_IDS = (["v", "w", "x"], ["a", "b", "c"], ["s", "t"], ["u"])
+_STRAY = st.sampled_from([c for ids in _DIM_IDS for c in ids] + ["", "zz"])
+
+
+def _with_strays(draw, ids: list, one_in: int) -> list:
+    """``ids``, or in roughly one draw of ``one_in`` ``ids`` with one to
+    three strays shuffled in."""
+    if draw(st.integers(1, one_in)) > 1:
+        return ids
+    return draw(st.permutations(ids + draw(st.lists(_STRAY, min_size=1, max_size=3))))
+
+
+@st.composite
+def _near_valid_complexes(draw) -> dict:
+    """A CW object of dimension at most 3, with cells in every dimension and
+    random boundaries and labels: faces one dimension down and distinct,
+    labels often closed under the boundary, except for the strays.  About
+    half are valid, and many of the rest have several faults."""
+    cells = {}
+    for d in draw(st.permutations(range(draw(st.integers(0, 3)) + 1))):
+        ids = draw(st.lists(st.sampled_from(_DIM_IDS[d]), min_size=1, unique=True))
+        cells[str(d)] = _with_strays(draw, ids, 30)
+    dim_of = {cid: int(d) for d, ids in cells.items() for cid in ids}
+    boundary = {}
+    for cid in _with_strays(draw, sorted(dim_of), 20):
+        below = cells.get(str(dim_of.get(cid, 0) - 1), [])
+        if draw(st.booleans()):
+            faces = draw(st.lists(st.sampled_from(below), unique=True, max_size=3)) if below else []
+            boundary[cid] = _with_strays(draw, faces, 20)
+    labels = {}
+    for name in draw(st.lists(st.sampled_from(["L", "M"]), unique=True, max_size=2)):
+        members = draw(st.lists(st.sampled_from(sorted(dim_of)), max_size=4)) if dim_of else []
+        if draw(st.booleans()):  # close it under the boundary as given
+            i = 0
+            while i < len(members):
+                members += [f for f in boundary.get(members[i], []) if f not in members]
+                i += 1
+        labels[name] = _with_strays(draw, members, 10)
+    return {"cells": cells, "boundary": boundary, "labels": labels}
+
+
+@settings(max_examples=500, deadline=None)
+@given(_near_valid_complexes())
+def test_from_json_names_the_first_fault_that_the_plain_reference_names(obj):
+    expected = reference_fault(obj)
+    try:
+        ChainComplexF2.from_json(json.dumps(obj))
+    except CWFormatError as exc:
+        assert str(exc) == expected
+    else:
+        assert expected is None
 
 
 def test_double_boundary_is_zero_everywhere(zoo):
