@@ -1,5 +1,8 @@
 """Command-line surface: Betti sums, real-locus tables, equality checks.
 
+``real-betti`` prints the per-piece table of the report that ``check-m``
+certifies, so it runs the same cross-checks and exits 1 if they disagree.
+
 Exit codes: 0 on success (all verdicts/tolerances met), 1 on any failed
 verification, 2 on bad arguments (including a sweep grid with no (g, n)
 pair) or malformed input files, and 141 (128 + SIGPIPE, what a shell
@@ -138,25 +141,19 @@ def _cmd_betti_sym(args) -> int:
 def _cmd_real_betti(args) -> int:
     if args.g > MAX_MODEL_GENUS:
         return _reject_genus("--g", args.g)
-    if args.n == 2:
-        dec = realmodels.real_sym2_decomposition(args.g)
-    else:
-        dec = realmodels.real_sym3_decomposition(args.g)
-    pieces = dec.betti_by_piece()
-    total = realmodels.betti_total(pieces)
+    report = mcheck.check(args.g, args.n)
     columns = ["piece", "multiplicity", "betti", "piece_sum", "subtotal"]
-    rows = []
-    for name, mult, b in pieces:
-        rows.append([name, mult, " ".join(str(x) for x in b), sum(b), mult * sum(b)])
-    rows.append(["total", "", "", "", total])
+    rows = [[name, mult, " ".join(map(str, b)), sum(b), mult * sum(b)]
+            for name, mult, b in report.per_piece]
+    rows.append(["total", "", "", "", report.real_sum])
     obj = {
         "g": args.g,
         "n": args.n,
         "pieces": [
             {"name": name, "multiplicity": mult, "betti": list(b), "betti_sum": sum(b)}
-            for name, mult, b in pieces
+            for name, mult, b in report.per_piece
         ],
-        "total_betti_sum": total,
+        "total_betti_sum": report.real_sum,
     }
     _emit(columns, rows, obj, args.format)
     return 0

@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 from math import gcd
 from typing import Callable, Iterable
 
@@ -265,42 +265,43 @@ def on_fiber_boundary_curve(tr: SymTriple) -> bool:
     return any((2 * v + m).denominator == 1 for v, m in candidates)
 
 
-@lru_cache(maxsize=1)
-def _diagonal_curve_candidates(max_denominator: int) -> tuple[SymTriple, ...]:
-    """The points (a, a, 0), a = k/q in [0, 1) in lowest terms, q <= max_denominator,
+_SEARCH_DENOMINATOR = 24  # the largest q of the angles a = k/q the curve searches try
+
+
+@cache
+def _diagonal_curve_candidates() -> tuple[SymTriple, ...]:
+    """The points (a, a, 0), a = k/q in [0, 1) in lowest terms, q <= _SEARCH_DENOMINATOR,
     by q then k; built once per process, as sorting Fraction angles is the cost."""
-    return tuple(diagonal_curve_point(Fraction(k, q)) for q in range(1, max_denominator + 1)
+    return tuple(diagonal_curve_point(Fraction(k, q)) for q in range(1, _SEARCH_DENOMINATOR + 1)
                  for k in range(q) if gcd(k, q) == 1)
 
 
-def _diagonal_curve_hits(on_curve: Callable[[SymTriple], bool], max_denominator: int):
+def _diagonal_curve_hits(on_curve: Callable[[SymTriple], bool]):
     """Distinct points of the diagonal-direction curve that satisfy
     ``on_curve``, searched over rational angles, sorted by their angles.
     The candidates are built once per process; ``on_curve`` tests all of
     them at every call."""
     found: dict[tuple, SymTriple] = {}
-    for tr in _diagonal_curve_candidates(max_denominator):
+    for tr in _diagonal_curve_candidates():
         if on_curve(tr):
             found.setdefault(tr.angles(), tr)
     return tuple(found[k] for k in sorted(found))
 
 
-def enumerate_diagonal_section_intersections(max_denominator: int = 24) -> tuple[SymTriple, ...]:
+def enumerate_diagonal_section_intersections() -> tuple[SymTriple, ...]:
     """All intersection points of the diagonal-direction curve with the
     section curve, by exhaustive search over rational angles.
 
     Any solution satisfies a congruence q*a = 0 (mod 1) with q <= 3, so its
     denominator is at most 3; the search bound leaves a wide margin.
     """
-    return _diagonal_curve_hits(on_section_curve, max_denominator)
+    return _diagonal_curve_hits(on_section_curve)
 
 
-def enumerate_diagonal_fiber_boundary_intersections(
-    max_denominator: int = 24,
-) -> tuple[SymTriple, ...]:
+def enumerate_diagonal_fiber_boundary_intersections() -> tuple[SymTriple, ...]:
     """All intersection points of the diagonal-direction curve with the
     fiber-boundary curve, by exhaustive search over rational angles."""
-    return _diagonal_curve_hits(on_fiber_boundary_curve, max_denominator)
+    return _diagonal_curve_hits(on_fiber_boundary_curve)
 
 
 # --- randomized property suite ------------------------------------------------

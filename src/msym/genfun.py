@@ -35,7 +35,7 @@ class GradedPoly:
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        cs = [int(c) for c in self.coeffs]
+        cs = list(map(operator.index, self.coeffs))
         for i, c in enumerate(cs):
             if c < 0:
                 raise ValueError(f"coefficient of degree {i} is negative: {c}")

@@ -25,6 +25,7 @@ directly and, since valid inputs give a valid result, check only its ids;
 from __future__ import annotations
 
 import json
+import operator
 from itertools import chain, repeat
 from typing import Collection, Container, Iterable, Mapping
 
@@ -75,8 +76,8 @@ class BitMatrixF2(object):
     __slots__ = ("rows", "ncols", "pivots")
 
     def __init__(self, rows: Iterable[int], ncols: int):
-        self.rows = tuple(map(int, rows))
-        self.ncols = int(ncols)
+        self.rows = tuple(map(operator.index, rows))
+        self.ncols = operator.index(ncols)
         if self.ncols < 0:
             raise ValueError("ncols must be nonnegative")
         limit = 1 << self.ncols
@@ -225,8 +226,8 @@ class ChainComplexF2(object):
         labs = {name: sorted(self.label(name)) for name in sorted(self._labels)}
         return {"cells": cells, "boundary": bnd, "labels": labs}
 
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_json_obj(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_json_obj(), indent=2)
 
     @classmethod
     def from_json_obj(cls, obj) -> "ChainComplexF2":
@@ -431,7 +432,6 @@ def _checked_match(
         raise InterfaceMismatch(f'no label "{lb}" on the attached complex')
     src_at = {b._cells[d][i]: (d, i) for d, i in b._labels[lb]}
     dst_at = {a._cells[d][j]: (d, j) for d, j in a._labels[la]}
-    match = {str(k): str(v) for k, v in match.items()}
     if set(match) != src_at.keys():
         raise InterfaceMismatch("match domain differs from the attached-side label")
     targets = set(match.values())

@@ -6,8 +6,8 @@ double cover, and a solid torus.  Each boundary circle that ever gets glued
 is a two-cell subcomplex (one vertex, one loop edge), so gluing bijections
 are canonical.
 
-A real-locus decomposition stores each homeomorphism type once together with
-its multiplicity; total Betti sums scale linearly with multiplicity.
+A real-locus decomposition is a tuple of ``(name, complex, multiplicity)``
+triples: each homeomorphism type once, with the number of its copies.
 
 The blocks that do not depend on the genus (circle, Möbius band, solid torus,
 and their products: the tube, the 2-torus and the 3-torus) are built once per
@@ -17,13 +17,11 @@ process, on first use, and shared: complexes are immutable, and neither
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from math import comb
-from typing import Iterable
 
 from .genfun import _check_genus
-from .homology import BettiVector, ChainComplexF2, betti, glue, product
+from .homology import ChainComplexF2, glue, product
 
 
 @cache
@@ -38,9 +36,9 @@ def point(vertex: str = "pt") -> ChainComplexF2:
 
 
 @cache
-def circle(vertex: str = "v", edge: str = "e") -> ChainComplexF2:
-    """Circle with one vertex and one loop edge (empty mod-2 boundary)."""
-    return ChainComplexF2({0: [vertex], 1: [edge]}, {edge: []})
+def circle() -> ChainComplexF2:
+    """Circle with one vertex ``v`` and one loop edge ``e`` (empty mod-2 boundary)."""
+    return ChainComplexF2({0: ["v"], 1: ["e"]}, {"e": []})
 
 
 def disc() -> ChainComplexF2:
@@ -50,28 +48,6 @@ def disc() -> ChainComplexF2:
         {"e": [], "f": ["e"]},
         {"boundary": ["v", "e"]},
     )
-
-
-@dataclass(frozen=True)
-class RealLocusDecomposition:
-    """Disjoint-union decomposition of a real locus into named CW pieces."""
-
-    pieces: tuple[tuple[str, ChainComplexF2, int], ...]
-
-    def __post_init__(self):
-        for name, _, mult in self.pieces:
-            if mult < 1:
-                raise ValueError(f'piece "{name}" has multiplicity {mult}')
-
-    def betti_by_piece(self) -> tuple[tuple[str, int, BettiVector], ...]:
-        return tuple((name, mult, betti(cw)) for name, cw, mult in self.pieces)
-
-
-def betti_total(per_piece: Iterable[tuple[str, int, BettiVector]]) -> int:
-    """Total mod-2 Betti sum of a decomposition from its per-piece Betti
-    vectors, as :meth:`RealLocusDecomposition.betti_by_piece` returns them:
-    each piece counts once per copy."""
-    return sum(mult * sum(b) for _, mult, b in per_piece)
 
 
 def build_half_surface(g: int) -> ChainComplexF2:
@@ -180,7 +156,7 @@ def build_B(g: int, *, glue_sym3: bool = True) -> ChainComplexF2:
     return glue(product(circle(), build_half_surface(g)), attachments)
 
 
-def real_sym2_decomposition(g: int) -> RealLocusDecomposition:
+def real_sym2_decomposition(g: int) -> tuple[tuple[str, ChainComplexF2, int], ...]:
     """Real locus of the second symmetric product: one capped surface Y plus
     C(g+1, 2) tori (pairs of points on two distinct real circles)."""
     g = _check_genus(g)
@@ -188,10 +164,10 @@ def real_sym2_decomposition(g: int) -> RealLocusDecomposition:
     tori = comb(g + 1, 2)
     if tori:
         pieces.append(("torus", _block_product(circle(), circle()), tori))
-    return RealLocusDecomposition(pieces=tuple(pieces))
+    return tuple(pieces)
 
 
-def real_sym3_decomposition(g: int) -> RealLocusDecomposition:
+def real_sym3_decomposition(g: int) -> tuple[tuple[str, ChainComplexF2, int], ...]:
     """Real locus of the third symmetric product: C(g+1, 3) three-tori
     (points on three distinct real circles) plus g+1 copies of B."""
     g = _check_genus(g)
@@ -200,4 +176,4 @@ def real_sym3_decomposition(g: int) -> RealLocusDecomposition:
     if tori:
         pieces.append(("3-torus", _block_product(_block_product(circle(), circle()), circle()), tori))
     pieces.append(("B", build_B(g), g + 1))
-    return RealLocusDecomposition(pieces=tuple(pieces))
+    return tuple(pieces)

@@ -17,7 +17,6 @@ from msym import (
     M_VARIETY,
     betti,
     betti_sum_sym,
-    betti_total,
     build_B,
     build_half_surface,
     build_sym2_circle,
@@ -58,7 +57,7 @@ def test_criterion_2_sym2_equality_from_matrix_rank():
     t0 = time.perf_counter()
     failures = []
     for g in range(65):
-        total = betti_total(real_sym2_decomposition(g).betti_by_piece())  # runs matrix ranks
+        total = sum(m * sum(betti(cw)) for _, cw, m in real_sym2_decomposition(g))  # runs matrix ranks
         if total != 3 + 3 * g + 2 * g * g:
             failures.append((g, total))
     elapsed = time.perf_counter() - t0
@@ -71,7 +70,7 @@ def test_criterion_3_sym3_equality_from_matrix_rank():
     t0 = time.perf_counter()
     failures = []
     for g in range(1, 65):
-        total = betti_total(real_sym3_decomposition(g).betti_by_piece())
+        total = sum(m * sum(betti(cw)) for _, cw, m in real_sym3_decomposition(g))
         if total != closed_form_sym3(g):
             failures.append((g, total))
     elapsed = time.perf_counter() - t0

@@ -18,10 +18,13 @@ def test_all_is_exactly_the_public_names():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert set(msym.__all__) == public
-    assert len(public) == 62
+    assert len(public) == 60
 
 
 def test_retired_fibration_helpers_are_gone():
     for name in ("local_trivialization", "shift_lift", "unshift_lift"):
         assert not hasattr(msym, name)
         assert not hasattr(msym.fibration, name)
+    for name in ("RealLocusDecomposition", "betti_total", "betti_by_piece"):
+        assert not hasattr(msym, name)
+        assert not hasattr(msym.realmodels, name)

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from math import comb
 
 import pytest
 
@@ -283,6 +284,16 @@ def test_real_betti_table(capsys):
     assert code == 0
     assert "B,2,1 2 2 1,6,12" in out
     assert out.strip().splitlines()[-1] == "total,,,,12"
+
+
+@pytest.mark.parametrize("n", ["2", "3"])
+def test_real_betti_exits_1_when_the_piece_count_disagrees(capsys, monkeypatch, n):
+    # one torus too many: the CW homology no longer matches the piece count
+    monkeypatch.setattr(realmodels, "comb", lambda a, b: comb(a, b) + 1)
+    code, out, err = run(capsys, ["real-betti", "--g", "5", "--n", n])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: CW homology gives real sum ")
+    assert "piece count predicts" in err
 
 
 def test_real_betti_rejects_other_powers(capsys):

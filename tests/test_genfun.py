@@ -220,6 +220,11 @@ class TestGradedPoly:
         with pytest.raises(ValueError):
             GradedPoly((1, -1))
 
+    @pytest.mark.parametrize("coeffs", [(2.7, 3), (2, "3")])
+    def test_non_integer_coefficient_rejected(self, coeffs):
+        with pytest.raises(TypeError):  # not truncated to (2, 3) or parsed
+            GradedPoly(coeffs)
+
     def test_str(self):
         assert str(GradedPoly((1, 0, 1, 0, 1, 0, 1))) == "1 + x^2 + x^4 + x^6"
         assert str(GradedPoly((1, 2, 2, 2, 1))) == "1 + 2x + 2x^2 + 2x^3 + x^4"

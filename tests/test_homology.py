@@ -289,6 +289,12 @@ def test_bitmatrix_rejects_out_of_range_rows():
         BitMatrixF2([-1], 3)
 
 
+@pytest.mark.parametrize("rows,ncols", [([3.9, 1], 2), ([3, "1"], 2), ([3, 1], 2.5)])
+def test_bitmatrix_rejects_non_integer_rows_and_width(rows, ncols):
+    with pytest.raises(TypeError):  # not truncated or parsed
+        BitMatrixF2(rows, ncols)
+
+
 @pytest.mark.parametrize("nrows,ncols,seed", [(10, 17, 1), (64, 64, 2), (200, 100, 3), (600, 600, 4)])
 def test_bitmatrix_rank_equals_transpose_rank(nrows, ncols, seed):
     rng = random.Random(seed)

@@ -9,9 +9,7 @@ from conftest import chained_B, chained_Y
 
 from msym import (
     ChainComplexF2,
-    RealLocusDecomposition,
     betti,
-    betti_total,
     build_B,
     build_half_surface,
     build_sym2_circle,
@@ -24,6 +22,7 @@ from msym import (
     euler_char,
     is_nullhomologous,
     label_subcomplex,
+    mcheck,
     product,
     real_sym2_decomposition,
     real_sym3_decomposition,
@@ -154,57 +153,57 @@ def test_B_genus_zero_edge_case():
 # --- decompositions -------------------------------------------------------------------
 
 
+def _real_sum(dec):
+    """Total Betti sum of a decomposition: each piece counts once per copy."""
+    return sum(mult * sum(betti(cw)) for _, cw, mult in dec)
+
+
 def test_sym2_decomposition_pieces():
     dec = real_sym2_decomposition(1)
-    names = {name: mult for name, _, mult in dec.pieces}
+    names = {name: mult for name, _, mult in dec}
     assert names == {"Y": 1, "torus": 1}
-    assert betti_total(dec.betti_by_piece()) == 8
+    assert _real_sum(dec) == 8
 
     only_y = real_sym2_decomposition(0)
-    assert [name for name, _, _ in only_y.pieces] == ["Y"]
-    assert betti_total(only_y.betti_by_piece()) == 3
+    assert [name for name, _, _ in only_y] == ["Y"]
+    assert _real_sum(only_y) == 3
 
-    assert betti_total(real_sym2_decomposition(2).betti_by_piece()) == 17
+    assert _real_sum(real_sym2_decomposition(2)) == 17
 
 
 def test_sym3_decomposition_pieces():
     dec = real_sym3_decomposition(1)
-    names = {name: mult for name, _, mult in dec.pieces}
+    names = {name: mult for name, _, mult in dec}
     assert names == {"B": 2}  # no three-torus below genus 2
-    assert betti_total(dec.betti_by_piece()) == 12
+    assert _real_sum(dec) == 12
 
     dec = real_sym3_decomposition(2)
-    names = {name: mult for name, _, mult in dec.pieces}
+    names = {name: mult for name, _, mult in dec}
     assert names == {"3-torus": 1, "B": 3}
-    assert betti_total(dec.betti_by_piece()) == 8 + 24
+    assert _real_sum(dec) == 8 + 24
 
-    assert betti_total(real_sym3_decomposition(3).betti_by_piece()) == 4 * 8 + 4 * 10
+    assert _real_sum(real_sym3_decomposition(3)) == 4 * 8 + 4 * 10
 
 
 def test_sym2_decomposition_matches_closed_form():
     for g in range(7):
-        assert betti_total(real_sym2_decomposition(g).betti_by_piece()) == closed_form_sym2(g)
+        assert _real_sum(real_sym2_decomposition(g)) == closed_form_sym2(g)
 
 
 def test_sym3_decomposition_matches_closed_form():
     for g in range(1, 5):
-        assert betti_total(real_sym3_decomposition(g).betti_by_piece()) == closed_form_sym3(g)
+        assert _real_sum(real_sym3_decomposition(g)) == closed_form_sym3(g)
 
 
 def test_decomposition_piece_formula():
     for g in range(1, 5):
         dec = real_sym3_decomposition(g)
-        assert betti_total(dec.betti_by_piece()) == 8 * comb(g + 1, 3) + 2 * (g + 2) * (g + 1)
-
-
-def test_decomposition_rejects_zero_multiplicity():
-    with pytest.raises(ValueError, match="multiplicity"):
-        RealLocusDecomposition(pieces=(("loop", circle(), 0),))
+        assert _real_sum(dec) == 8 * comb(g + 1, 3) + 2 * (g + 2) * (g + 1)
 
 
 def test_betti_by_piece_reports_vectors():
     dec = real_sym2_decomposition(1)
-    by_piece = dict((name, (mult, b)) for name, mult, b in dec.betti_by_piece())
+    by_piece = {name: (mult, betti(cw)) for name, cw, mult in dec}
     assert by_piece["Y"] == (1, (1, 2, 1))
     assert by_piece["torus"] == (1, (1, 2, 1))
 
@@ -289,15 +288,14 @@ def test_shared_blocks_are_the_same_objects_every_time():
     assert circle() is circle()
     assert build_sym2_circle() is build_sym2_circle()
     assert build_sym3_circle() is build_sym3_circle()
-    assert real_sym2_decomposition(3).pieces[1][1] is real_sym2_decomposition(4).pieces[1][1]
-    assert real_sym3_decomposition(3).pieces[0][1] is real_sym3_decomposition(4).pieces[0][1]
+    assert real_sym2_decomposition(3)[1][1] is real_sym2_decomposition(4)[1][1]
+    assert real_sym3_decomposition(3)[0][1] is real_sym3_decomposition(4)[0][1]
 
 
 @pytest.mark.parametrize("g", [0, 1, 7])
 def test_building_models_leaves_the_shared_blocks_unchanged(g):
     build_B(g), build_Y(g), build_B(g, glue_sym3=False)
-    real_sym2_decomposition(g).betti_by_piece()
-    real_sym3_decomposition(g).betti_by_piece()
+    _real_sum(real_sym2_decomposition(g)), _real_sum(real_sym3_decomposition(g))
     for shared, fresh in _shared_blocks():
         assert shared.to_json() == fresh.to_json()
         assert betti(shared) == betti(fresh)
@@ -305,13 +303,13 @@ def test_building_models_leaves_the_shared_blocks_unchanged(g):
 
 def test_check_runs_betti_once_per_piece(monkeypatch):
     calls = []
-    real_betti = realmodels.betti
+    real_betti = mcheck.betti
 
     def counting_betti(c):
         calls.append(c)
         return real_betti(c)
 
-    monkeypatch.setattr(realmodels, "betti", counting_betti)
+    monkeypatch.setattr(mcheck, "betti", counting_betti)
     report = check(7, 3)
     assert [name for name, _, _ in report.per_piece] == ["3-torus", "B"]
     assert len(calls) == 2
