@@ -73,8 +73,8 @@ _ANSWER_LIMIT_BITS = _ANSWER_LIMIT.bit_length()
 # half surface: check-m with n = 2, 3 (single checks and --gmax of a sweep),
 # real-betti and export-model half|Y|B.  Model size is linear in g, and the
 # answer is a cubic in g, so the size rule does not bound it.  At the cap,
-# check-m --n 3 takes about 3 s and 190 MiB (Python 3.11.7, one core of a
-# 2-core Intel Xeon); a seven-digit --g would need gigabytes.
+# check-m --n 3 takes about 0.75-1.1 s and 188 MiB (Python 3.11.7, one core
+# of a 2-core Intel Xeon); a seven-digit --g would need gigabytes.
 MAX_MODEL_GENUS = 10_000
 # The --gmax cap of check-m --sweep.  A sweep checks n = 2 and 3 on a model
 # at every genus up to --gmax, so its time grows with the square of --gmax:
@@ -249,12 +249,8 @@ def _cmd_verify_fibration(args) -> int:
     if not (math.isfinite(args.tol) and args.tol > 0):
         print(f"error: --tol {args.tol!r} must be a finite number > 0", file=sys.stderr)
         return 2
-    report = fibration.run_property_suite(
-        samples=args.samples,
-        seed=args.seed,
-        roundtrip_tol=args.tol,
-        fiber_tol=args.tol * 1e-3,
-    )
+    report = fibration.run_property_suite(samples=args.samples, seed=args.seed,
+                                          roundtrip_tol=args.tol)
     checks = report.checks()
     columns = ["check", "value", "required", "passed"]
     rows = [[name, repr(value), repr(req), "yes" if ok else "no"]

@@ -373,16 +373,15 @@ def run_property_suite(
     samples: int = 10_000,
     seed: int = 0,
     roundtrip_tol: float = ROUNDTRIP_TOL,
-    fiber_tol: float = FIBER_TOL,
 ) -> FibrationReport:
     """Seeded random verification of the bundle structure.
 
     Checks, over uniform triangle samples (with a deterministic share of
-    exact edge points): that the fiber parametrization lands on the fiber,
-    that its inverse undoes it, and that the repeated-point locus is exactly
-    the triangle boundary.  Both exact curve searches run their membership
-    predicate on every candidate point in every suite; only the candidate
-    points are built once per process.
+    exact edge points): that the fiber parametrization lands on the fiber
+    (within ``roundtrip_tol / 1000``), that its inverse undoes it, and that
+    the repeated-point locus is exactly the triangle boundary.  Both exact
+    curve searches run their membership predicate on every candidate point
+    in every suite; only the candidate points are built once per process.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -412,7 +411,7 @@ def run_property_suite(
         samples=samples,
         seed=seed,
         roundtrip_tol=roundtrip_tol,
-        fiber_tol=fiber_tol,
+        fiber_tol=roundtrip_tol / 1000,
         max_roundtrip_error=max_rt,
         max_fiber_error=max_fib,
         boundary_mismatches=mismatches,

@@ -4,8 +4,10 @@ mod-2 homology bound.
 For a real variety the total mod-2 Betti number of the real locus never
 exceeds that of the complex points (Smith inequality); M-varieties are the
 equality cases.  Both sides of a report are computed by at least two
-independent routes whenever a second route exists, and the routes are
-cross-asserted before any verdict is produced: redundancy is the product.
+independent routes whenever a second route exists, and the routes, each a
+pair of its wording and its value, are cross-asserted before any verdict is
+produced: redundancy is the product.  On the real side each piece of the
+paper's decomposition is checked on its own, not only their total.
 """
 
 from __future__ import annotations
@@ -78,77 +80,67 @@ class MVarietyReport:
         )
 
 
+def _agree(g: int, n: int, route: tuple[str, object], *others: tuple[str, object]) -> None:
+    """Raise :class:`VerificationError` on the first of ``others`` whose value
+    differs from ``route``'s; a route is a pair of its wording and its value."""
+    wording, value = route
+    for other, other_value in others:
+        if other_value != value:
+            raise VerificationError(f"{wording} {value}, {other} {other_value} (g={g}, n={n})")
+
+
 def check(g: int, n: int) -> MVarietyReport:
     """Compare real and complex mod-2 Betti sums of the n-th symmetric product.
 
-    For n = 2, 3 the real side is computed by running the homology engine on
-    the CW decomposition of the real locus and cross-checked against the
-    piece-count formula; for n >= 2g-1 it comes from the real projective
-    bundle over the real locus of the degree-zero line bundle torus.  The
-    range 4 <= n <= 2g-2 is reported as UNSUPPORTED_RANGE.  The Smith
-    inequality is enforced as a hard invariant on every decided report.
-    ``msym real-betti`` prints the ``per_piece`` and ``real_sum`` of this
-    report for n = 2, 3.
+    For n = 2, 3, coefficient extraction must match the closed form, and each
+    piece of the CW model of the real locus must have the Betti vector that
+    the paper's decomposition gives it.  The real-side routes must then
+    agree: CW homology and the piece count for n = 2, 3, and for n >= 2g-1
+    the bundle formula (a real projective bundle over the real locus of the
+    degree-zero line bundle torus).  With no route (4 <= n <= 2g-2) the
+    verdict is UNSUPPORTED_RANGE.  The Smith inequality is a hard invariant on
+    every decided report.  ``msym real-betti`` prints this report's
+    ``per_piece`` and ``real_sum``.
     """
     g = _check_genus(g)
     n = _check_power(n)
 
     complex_sum = betti_sum_sym(g, n)
-
+    real = []  # the real-side routes
+    per_piece = ()
+    method = None
     if n in (2, 3):
+        # the paper's decomposition: piece name -> (copies, Betti vector)
         if n == 2:
             closed, build = closed_form_sym2(g), real_sym2_decomposition
-            expected = 2 * g * (g + 1) + 3 + g
+            paper = {"Y": (1, (1, g + 1, 1)), "torus": (comb(g + 1, 2), (1, 2, 1))}
         else:
             closed, build = closed_form_sym3(g), real_sym3_decomposition
-            expected = 8 * comb(g + 1, 3) + 2 * (g + 2) * (g + 1)
-        if complex_sum != closed:
-            raise VerificationError(
-                f"coefficient extraction gives {complex_sum}, closed form {closed} (g={g}, n={n})"
-            )
+            paper = {"3-torus": (comb(g + 1, 3), (1, 3, 3, 1)), "B": (g + 1, (1, g + 1, g + 1, 1))}
+        _agree(g, n, ("coefficient extraction gives", complex_sum), ("closed form", closed))
         per_piece = tuple((name, mult, betti(cw)) for name, cw, mult in build(g))
-        real_sum = sum(mult * sum(b) for _, mult, b in per_piece)
-        if real_sum != expected:
-            raise VerificationError(
-                f"CW homology gives real sum {real_sum}, piece count predicts {expected} (g={g}, n={n})"
-            )
-        if n >= 2 * g - 1:
-            bundle = betti_sum_large_n(g, n)
-            if real_sum != bundle:
-                raise VerificationError(
-                    f"CW models give {real_sum}, bundle formula gives {bundle} (g={g}, n={n})"
-                )
+        for name, _, b in per_piece:
+            _agree(g, n, (f'piece "{name}": CW homology gives', b),
+                   ("the paper's decomposition", paper.get(name, (0, None))[1]))
+        real.append(("CW homology gives real sum", sum(mult * sum(b) for _, mult, b in per_piece)))
+        real.append(("piece count predicts", sum(copies * sum(b) for copies, b in paper.values())))
         method = CW_MODELS
-    elif n >= 2 * g - 1:
-        real_sum = betti_sum_large_n(g, n)
-        per_piece = ()
-        method = BUNDLE_FORMULA
-    else:
-        return MVarietyReport(
-            g=g,
-            n=n,
-            complex_sum=complex_sum,
-            real_sum=None,
-            per_piece=(),
-            verdict=UNSUPPORTED_RANGE,
-            method=None,
-        )
+    if n >= 2 * g - 1:
+        real.append(("bundle formula gives", betti_sum_large_n(g, n)))
+        method = method or BUNDLE_FORMULA
 
-    if real_sum > complex_sum:
-        raise SmithViolationError(
-            f"real Betti sum {real_sum} exceeds complex Betti sum {complex_sum} "
-            f"(g={g}, n={n}); the real-locus model is broken"
-        )
-    verdict = M_VARIETY if real_sum == complex_sum else STRICT_INEQUALITY
-    return MVarietyReport(
-        g=g,
-        n=n,
-        complex_sum=complex_sum,
-        real_sum=real_sum,
-        per_piece=per_piece,
-        verdict=verdict,
-        method=method,
-    )
+    real_sum = None  # no route: the verdict is UNSUPPORTED_RANGE
+    verdict = UNSUPPORTED_RANGE
+    if real:
+        _agree(g, n, *real)
+        real_sum = real[0][1]
+        if real_sum > complex_sum:
+            raise SmithViolationError(
+                f"real Betti sum {real_sum} exceeds complex Betti sum {complex_sum} "
+                f"(g={g}, n={n}); the real-locus model is broken"
+            )
+        verdict = M_VARIETY if real_sum == complex_sum else STRICT_INEQUALITY
+    return MVarietyReport(g, n, complex_sum, real_sum, per_piece, verdict, method)
 
 
 def sweep(g_max: int, n_max: int) -> list[MVarietyReport]:

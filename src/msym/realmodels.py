@@ -125,7 +125,7 @@ def build_Y(g: int) -> ChainComplexF2:
     )
 
 
-def build_B(g: int, *, glue_sym3: bool = True) -> ChainComplexF2:
+def build_B(g: int) -> ChainComplexF2:
     """Closed 3-manifold component of the real locus of the third symmetric
     product.
 
@@ -135,8 +135,7 @@ def build_B(g: int, *, glue_sym3: bool = True) -> ChainComplexF2:
     first torus with the solid torus of circle triples: its meridian is
     matched to the surface-boundary direction and its longitude to the circle
     factor, realizing the required mod-2 homology classes of the interface
-    curves.  With ``glue_sym3=False`` the cap is omitted (the intermediate
-    space used to check that the tubes do not change first homology).
+    curves.
     """
     g = _check_genus(g)
     tube = _block_product(circle(), build_sym2_circle())
@@ -150,9 +149,8 @@ def build_B(g: int, *, glue_sym3: bool = True) -> ChainComplexF2:
         )
         for j in range(1, g + 1)
     ]
-    if glue_sym3:
-        match = {"pt": "v*v0", "mer": "v*r0", "lon": "e*v0", "tor": "e*r0"}
-        attachments.append(("C1", build_sym3_circle(), "torus", match, "cap"))
+    match = {"pt": "v*v0", "mer": "v*r0", "lon": "e*v0", "tor": "e*r0"}
+    attachments.append(("C1", build_sym3_circle(), "torus", match, "cap"))
     return glue(product(circle(), build_half_surface(g)), attachments)
 
 

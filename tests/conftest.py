@@ -226,7 +226,9 @@ def chained_Y(g: int) -> ChainComplexF2:
 
 def chained_B(g: int, *, glue_sym3: bool = True) -> ChainComplexF2:
     """Reference for ``build_B``: one single-attachment glue per tube, then
-    one for the solid-torus cap."""
+    one for the solid-torus cap.  With ``glue_sym3=False`` the cap is
+    omitted: the intermediate space used to check that the tubes do not
+    change first homology."""
     out = product(circle(), build_half_surface(g))
     for j in range(1, g + 1):
         tube = product(circle(), build_sym2_circle())

@@ -296,6 +296,36 @@ def test_real_betti_exits_1_when_the_piece_count_disagrees(capsys, monkeypatch, 
     assert "piece count predicts" in err
 
 
+def _with_piece(decompose, name, cw):
+    """``decompose`` with the complex of piece ``name`` replaced by ``cw``."""
+    return lambda g: tuple((n, cw if n == name else c, m) for n, c, m in decompose(g))
+
+
+# one vertex and one 2-cell: a sphere.  s x s has Betti vector (1, 0, 2, 0, 1)
+# with the torus's sum 4, and s x s x circle (1, 1, 2, 2, 1, 1) with the
+# 3-torus's sum 8, so only the check of each piece can catch the swap
+_SPHERE = ChainComplexF2({0: ["v"], 2: ["e"]}, {"e": []})
+_S2_S2 = product(_SPHERE, _SPHERE)
+BROKEN_PIECES = [
+    (["check-m", "--g", "25", "--n", "2"], "torus", _S2_S2, "(1, 0, 2, 0, 1)", "(1, 2, 1)"),
+    (["real-betti", "--g", "5", "--n", "2"], "torus", _S2_S2, "(1, 0, 2, 0, 1)", "(1, 2, 1)"),
+    (["check-m", "--g", "5", "--n", "3"], "3-torus", product(_S2_S2, circle()),
+     "(1, 1, 2, 2, 1, 1)", "(1, 3, 3, 1)"),
+]
+
+
+@pytest.mark.parametrize("argv, name, cw, got, paper", BROKEN_PIECES,
+                         ids=["check-m-torus", "real-betti-torus", "check-m-3-torus"])
+def test_a_piece_with_the_right_sum_and_wrong_betti_vector_exits_1(
+        capsys, monkeypatch, argv, name, cw, got, paper):
+    decompose = "real_sym2_decomposition" if argv[-1] == "2" else "real_sym3_decomposition"
+    monkeypatch.setattr(mcheck, decompose, _with_piece(getattr(realmodels, decompose), name, cw))
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err == (f'error: piece "{name}": CW homology gives {got}, the paper\'s '
+                   f"decomposition {paper} (g={argv[2]}, n={argv[4]})\n")
+
+
 def test_real_betti_rejects_other_powers(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["real-betti", "--g", "1", "--n", "4"])
@@ -389,12 +419,13 @@ def test_verify_fibration_fails_under_absurd_tolerance(capsys):
 
 
 # stdout of the implementation before the float fast paths, byte for byte;
-# the json "worst_samples" list was added later and pinned when it was
+# the json "worst_samples" list was added later and pinned when it was, and
+# the fiber bound reads 1e-12 since it is derived as tol / 1000
 VERIFY_FIBRATION_500_3 = {
     "csv": (
         'check,value,required,passed\n'
         'roundtrip_max_error,1.1102230246251565e-16,1e-09,yes\n'
-        'fiber_max_error,2.220446049250313e-16,1.0000000000000002e-12,yes\n'
+        'fiber_max_error,2.220446049250313e-16,1e-12,yes\n'
         'boundary_agreement,1.0,1.0,yes\n'
         'section_intersections,1,1,yes\n'
         'fiber_boundary_intersections,2,2,yes\n'
@@ -413,7 +444,7 @@ VERIFY_FIBRATION_500_3 = {
         '    {\n'
         '      "check": "fiber_max_error",\n'
         '      "value": 2.220446049250313e-16,\n'
-        '      "required": 1.0000000000000002e-12,\n'
+        '      "required": 1e-12,\n'
         '      "passed": true\n'
         '    },\n'
         '    {\n'

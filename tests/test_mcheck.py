@@ -11,9 +11,11 @@ from msym import (
     STRICT_INEQUALITY,
     UNSUPPORTED_RANGE,
     SmithViolationError,
+    VerificationError,
     betti_sum_sym,
     check,
     mcheck,
+    real_sym2_decomposition,
     sweep,
 )
 
@@ -83,7 +85,7 @@ def test_check_rejects_negative_power():
 # reaches the verdict logic with no other route to catch it first
 
 
-def test_user_decomposition_strict_inequality(monkeypatch):
+def test_bundle_route_below_the_complex_sum_is_strict_inequality(monkeypatch):
     complex_sum = betti_sum_sym(1, 5)
     monkeypatch.setattr(mcheck, "betti_sum_large_n", lambda g, n: complex_sum - 1)
     rep = check(1, 5)
@@ -92,11 +94,37 @@ def test_user_decomposition_strict_inequality(monkeypatch):
     assert rep.method == BUNDLE_FORMULA
 
 
-def test_user_decomposition_smith_violation_aborts(monkeypatch):
+def test_bundle_route_above_the_complex_sum_violates_smith(monkeypatch):
     complex_sum = betti_sum_sym(1, 5)
     monkeypatch.setattr(mcheck, "betti_sum_large_n", lambda g, n: complex_sum + 1)
     with pytest.raises(SmithViolationError, match="exceeds"):
         check(1, 5)
+
+
+def test_closed_form_disagreement_is_named(monkeypatch):
+    monkeypatch.setattr(mcheck, "closed_form_sym2", lambda g: 9)
+    with pytest.raises(VerificationError) as exc:
+        check(1, 2)
+    assert str(exc.value) == "coefficient extraction gives 8, closed form 9 (g=1, n=2)"
+
+
+def test_bundle_formula_disagreement_is_named_where_cw_models_also_apply(monkeypatch):
+    # 2 >= 2g - 1 at g = 1: CW homology, the piece count and the bundle formula
+    monkeypatch.setattr(mcheck, "betti_sum_large_n", lambda g, n: 9)
+    with pytest.raises(VerificationError) as exc:
+        check(1, 2)
+    assert str(exc.value) == "CW homology gives real sum 8, bundle formula gives 9 (g=1, n=2)"
+
+
+def test_a_piece_the_paper_does_not_name_compares_with_none(monkeypatch):
+    def renamed(g):
+        return tuple(("T2" if n == "torus" else n, c, m) for n, c, m in real_sym2_decomposition(g))
+
+    monkeypatch.setattr(mcheck, "real_sym2_decomposition", renamed)
+    with pytest.raises(VerificationError) as exc:
+        check(2, 2)
+    assert str(exc.value) == (
+        "piece \"T2\": CW homology gives (1, 2, 1), the paper's decomposition None (g=2, n=2)")
 
 
 def test_smith_inequality_holds_across_sweep():

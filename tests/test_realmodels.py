@@ -134,7 +134,7 @@ def test_B_first_homology_matches_circle_times_half_surface():
 
 def test_B_intermediate_gluings_keep_first_homology():
     for g in range(1, 5):
-        partial = betti(build_B(g, glue_sym3=False))
+        partial = betti(chained_B(g, glue_sym3=False))
         assert partial[1] == g + 1
 
 
@@ -215,7 +215,6 @@ def test_betti_by_piece_reports_vectors():
 def test_models_match_chained_single_attachment_glue(g):
     assert build_Y(g).to_json() == chained_Y(g).to_json()
     assert build_B(g).to_json() == chained_B(g).to_json()
-    assert build_B(g, glue_sym3=False).to_json() == chained_B(g, glue_sym3=False).to_json()
 
 
 def test_curated_models_pass_the_full_validator():
@@ -227,7 +226,6 @@ def test_curated_models_pass_the_full_validator():
             (g, build_half_surface(g)),
             (g, build_Y(g)),
             (g, build_B(g)),
-            (g, build_B(g, glue_sym3=False)),
         ]
     for g, m in models:
         text = m.to_json()
@@ -294,7 +292,7 @@ def test_shared_blocks_are_the_same_objects_every_time():
 
 @pytest.mark.parametrize("g", [0, 1, 7])
 def test_building_models_leaves_the_shared_blocks_unchanged(g):
-    build_B(g), build_Y(g), build_B(g, glue_sym3=False)
+    build_B(g), build_Y(g)
     _real_sum(real_sym2_decomposition(g)), _real_sum(real_sym3_decomposition(g))
     for shared, fresh in _shared_blocks():
         assert shared.to_json() == fresh.to_json()
