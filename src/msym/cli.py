@@ -2,6 +2,8 @@
 
 ``real-betti`` prints the per-piece table of the report that ``check-m``
 certifies, so it runs the same cross-checks and exits 1 if they disagree.
+``betti-sym --poly`` checks the Poincare polynomial against the Betti sum and
+Macdonald's Euler characteristic before printing, and exits 1 likewise.
 
 Exit codes: 0 on success (all verdicts/tolerances met), 1 on any failed
 verification, 2 on bad arguments (including a sweep grid with no (g, n)
@@ -46,12 +48,43 @@ def _print_table(columns, rows, fmt, file):
         print("| " + " | ".join(padded) + " |", file=file)
 
 
-def _emit(columns, rows, json_obj, fmt, file=None):
-    file = file or sys.stdout
+def _emit(columns, rows, json_obj, fmt):
+    """Print ``rows`` as a csv or md table, or ``json_obj`` as JSON; a str
+    ``json_obj`` is JSON text already in the form ``json.dumps(obj, indent=2)``
+    gives."""
     if fmt == "json":
-        print(json.dumps(json_obj, indent=2), file=file)
+        print(json_obj if isinstance(json_obj, str) else json.dumps(json_obj, indent=2))
     else:
-        _print_table(columns, rows, fmt, file)
+        _print_table(columns, rows, fmt, sys.stdout)
+
+
+def _json_with_poly(obj: dict, coeffs: tuple[int, ...]) -> str:
+    """The text of ``json.dumps({**obj, "poincare": list(coeffs)}, indent=2)``
+    for nonempty ``coeffs``.  The encoder's indented path is pure Python and
+    converts every coefficient to decimal; here each distinct value is
+    converted once, and the whole text is one join, so no second copy of the
+    list's text is ever held."""
+    texts = genfun._coeff_texts(coeffs)
+    parts = [",\n    "] * (2 * len(texts) + 1)  # the texts go between these
+    head = json.dumps(obj, indent=2)[:-2]  # all but the closing "\n}"
+    parts[0] = head + ',\n  "poincare": [\n    '
+    parts[1::2] = texts
+    parts[-1] = "\n  ]\n}"
+    return "".join(parts)
+
+
+def _check_poincare(g: int, n: int, poly: genfun.GradedPoly, total: int) -> None:
+    """Cross-check the Poincare polynomial of Sym^n of a genus-g surface: P(1)
+    is the Betti sum from the independent route, P is palindromic of degree
+    exactly 2n, and P(-1) is Macdonald's Euler characteristic (-1)^n C(2g-2, n),
+    or n + 1 when g = 0 (Macdonald, Topology 1, 1962)."""
+    euler = (-1) ** n * math.comb(2 * g - 2, n) if g else n + 1
+    mcheck._agree(g, n, ("Poincare polynomial gives P(1) =", poly.total()), ("Betti sum", total))
+    mcheck._agree(g, n, ("Poincare polynomial has degree", poly.degree), ("required", 2 * n))
+    mcheck._agree(g, n, ("Poincare polynomial is palindromic:", poly.is_palindromic()),
+                  ("required", True))
+    mcheck._agree(g, n, ("Poincare polynomial gives P(-1) =", poly.evaluate(-1)),
+                  ("Macdonald's Euler characteristic", euler))
 
 
 # The size rule.  Python converts an int of at most 4,300 decimal digits to
@@ -130,9 +163,11 @@ def _cmd_betti_sym(args) -> int:
     obj = {"g": args.g, "n": args.n, "betti_sum": total}
     if args.poly:
         poly = genfun.poincare_sym(args.g, args.n)
+        _check_poincare(args.g, args.n, poly, total)
         columns.append("poincare")
-        obj["poincare"] = list(poly.coeffs)
-        if args.format != "json":  # json prints obj; only the tables read row
+        if args.format == "json":  # json prints obj's text; only the tables read row
+            obj = _json_with_poly(obj, poly.coeffs)
+        else:
             row.append(str(poly))
     _emit(columns, [row], obj, args.format)
     return 0

@@ -65,15 +65,25 @@ class GradedPoly:
         if not self.coeffs:
             return "0"
         terms = []
-        for k, c in enumerate(self.coeffs):
-            if c == 0:
+        for k, text in enumerate(_coeff_texts(self.coeffs)):
+            if text == "0":
                 continue
             if k == 0:
-                terms.append(str(c))
+                terms.append(text)
             else:
                 var = "x" if k == 1 else f"x^{k}"
-                terms.append(var if c == 1 else f"{c}{var}")
+                terms.append(var if text == "1" else text + var)
         return " + ".join(terms)
+
+
+def _coeff_texts(coeffs: tuple[int, ...]) -> list[str]:
+    """The decimal text of each coefficient, with one ``str()`` per distinct
+    value.  A Poincare polynomial from :func:`poincare_sym` is palindromic,
+    and in the bundle range its middle repeats, so at most min(2g, n) + 1 of
+    its 2n + 1 coefficients differ; CPython converts an int to decimal in
+    time quadratic in its length, so each conversion is worth saving."""
+    memo = {}
+    return [memo[c] if c in memo else memo.setdefault(c, str(c)) for c in coeffs]
 
 
 def _check_nonnegative(value: int, what: str, error: type[ValueError] = ValueError) -> int:

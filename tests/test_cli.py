@@ -144,6 +144,64 @@ def test_betti_sym_poly_output_is_pinned(capsys, fmt):
     assert (len(data), hashlib.sha256(data).hexdigest()) == BETTI_SYM_POLY_40_90[fmt]
 
 
+def test_betti_sym_poly_json_is_what_json_dumps_writes(capsys):
+    for g, n in [(g, n) for g in range(13) for n in range(31)] + [(751, 1501), (3, 2000)]:
+        obj = {"g": g, "n": n, "betti_sum": genfun.betti_sum_sym(g, n),
+               "poincare": list(genfun.poincare_sym(g, n).coeffs)}
+        argv = ["betti-sym", "--g", str(g), "--n", str(n), "--poly", "--format", "json"]
+        assert run(capsys, argv) == (0, json.dumps(obj, indent=2) + "\n", ""), (g, n)
+
+
+def test_betti_sym_poly_json_converts_each_distinct_coefficient_once(capsys, monkeypatch):
+    coeffs = genfun.poincare_sym(751, 1501).coeffs
+    converted = []
+    monkeypatch.setattr(genfun, "str", lambda c: converted.append(c) or f"{c}", raising=False)
+    code, out, _ = run(capsys, ["betti-sym", "--g", "751", "--n", "1501", "--poly",
+                                "--format", "json"])
+    assert code == 0 and json.loads(out)["poincare"] == list(coeffs)
+    assert sorted(converted) == sorted(set(coeffs))
+
+
+def _shift(coeffs, n):  # x * P: degree 2n + 1, same P(1)
+    return (0, *coeffs)
+
+
+def _bump_ends(coeffs, n):  # + x + x^(2n-1): P(1) is 2 too large
+    cs = list(coeffs)
+    cs[1] += 1
+    cs[2 * n - 1] += 1
+    return cs
+
+
+def _tilt(coeffs, n):  # + x - x^2: same P(1) and degree, not palindromic
+    cs = list(coeffs)
+    cs[1] += 1
+    cs[2] -= 1
+    return cs
+
+
+def _bump_and_lower(coeffs, n):  # + x + x^(2n-1) - x^2 - x^(2n-2): only P(-1) moves
+    cs = _bump_ends(coeffs, n)
+    cs[2] -= 1
+    cs[2 * n - 2] -= 1
+    return cs
+
+
+@pytest.mark.parametrize("mutate,fault", [
+    (_bump_ends, "Poincare polynomial gives P(1) = 131, Betti sum 129"),
+    (_shift, "Poincare polynomial has degree 9, required 8"),
+    (_tilt, "Poincare polynomial is palindromic: False, required True"),
+    (_bump_and_lower, "Poincare polynomial gives P(-1) = -3, Macdonald's Euler characteristic 1"),
+])
+@pytest.mark.parametrize("fmt", ["csv", "md", "json"])
+def test_betti_sym_poly_checks_the_polynomial(capsys, monkeypatch, mutate, fault, fmt):
+    poincare_sym = genfun.poincare_sym
+    monkeypatch.setattr(genfun, "poincare_sym",
+                        lambda g, n: genfun.GradedPoly(mutate(poincare_sym(g, n).coeffs, n)))
+    code, out, err = run(capsys, ["betti-sym", "--g", "3", "--n", "4", "--poly", "--format", fmt])
+    assert (code, out, err) == (1, "", f"error: {fault} (g=3, n=4)\n")
+
+
 def refuse(*args):
     raise AssertionError("the size rule should have rejected the input first")
 
@@ -578,6 +636,7 @@ def test_md_tables_are_pipe_aligned(capsys):
 @pytest.mark.parametrize("argv", [
     ["check-m", "--sweep", "--gmax", "30", "--nmax", "40", "--format", "csv"],  # fails in a write
     ["betti-sym", "--g", "2", "--n", "3"],  # output fits the buffer: fails in the final flush
+    ["betti-sym", "--g", "751", "--n", "1501", "--poly", "--format", "json"],  # one large write
 ])
 def test_closed_stdout_exits_141_without_traceback(argv):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))

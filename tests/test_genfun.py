@@ -28,6 +28,7 @@ from msym import (
     check,
     closed_form_sym2,
     closed_form_sym3,
+    genfun,
     poincare_sym,
 )
 from msym.genfun import _as_integer
@@ -229,6 +230,20 @@ class TestGradedPoly:
         assert str(GradedPoly((1, 0, 1, 0, 1, 0, 1))) == "1 + x^2 + x^4 + x^6"
         assert str(GradedPoly((1, 2, 2, 2, 1))) == "1 + 2x + 2x^2 + 2x^3 + x^4"
         assert str(GradedPoly(())) == "0"
+
+    @pytest.mark.parametrize("g,n", [(2, 3), (40, 90), (3, 2000), (751, 1501)])
+    def test_str_converts_each_distinct_coefficient_once(self, monkeypatch, g, n):
+        poly = poincare_sym(g, n)
+        terms = []  # the plain formatting, one conversion per coefficient
+        for k, c in enumerate(poly.coeffs):
+            if c:
+                var = "" if k == 0 else "x" if k == 1 else f"x^{k}"
+                terms.append(var if c == 1 and k else f"{c}{var}")
+        converted = []
+        monkeypatch.setattr(genfun, "str", lambda c: converted.append(c) or f"{c}",
+                            raising=False)
+        assert str(poly) == " + ".join(terms)
+        assert sorted(converted) == sorted(set(poly.coeffs))
 
     def test_total(self):
         assert GradedPoly((1, 2, 3)).total() == 6
