@@ -1,52 +1,21 @@
 """Exact mod-2 topology of symmetric products of real curves with maximal
 real locus: generating-function Betti sums, CW models of the real loci,
-GF(2) homology from matrix rank, and equality certification."""
+GF(2) homology from matrix rank, and equality certification.
 
-from .fibration import (
-    FIBER_TOL,
-    ROUNDTRIP_TOL,
-    CirclePoint,
-    DomainError,
-    FiberError,
-    FibrationReport,
-    SimplexPoint,
-    SymTriple,
-    diagonal_curve_point,
-    enumerate_diagonal_fiber_boundary_intersections,
-    enumerate_diagonal_section_intersections,
-    is_boundary_point,
-    on_fiber_boundary_curve,
-    on_section_curve,
-    run_property_suite,
-    t_inverse,
-    t_map,
-    theta,
-)
-from .genfun import (
-    GradedPoly,
-    IntegralityViolation,
-    RangeError,
-    betti_sum_large_n,
-    betti_sum_sym,
-    closed_form_sym2,
-    closed_form_sym3,
-    poincare_sym,
-)
+This namespace holds the names of the README's examples, the verdict and
+method constants, the report type and the errors a caller catches; every
+other name is imported from its module (``msym.homology``, ``msym.genfun``,
+``msym.realmodels``, ``msym.mcheck``, ``msym.fibration``)."""
+
+from .fibration import SimplexPoint, t_map
+from .genfun import RangeError, betti_sum_sym, poincare_sym
 from .homology import (
-    BettiVector,
-    BitMatrixF2,
     ChainComplexF2,
     CWFormatError,
-    EulerCharacteristicMismatch,
     InterfaceMismatch,
     InvalidComplexError,
     betti,
-    boundary_matrix,
-    euler_char,
     glue,
-    is_nullhomologous,
-    label_subcomplex,
-    product,
 )
 from .mcheck import (
     BUNDLE_FORMULA,
@@ -58,82 +27,32 @@ from .mcheck import (
     SmithViolationError,
     VerificationError,
     check,
-    sweep,
 )
-from .realmodels import (
-    build_B,
-    build_half_surface,
-    build_sym2_circle,
-    build_sym3_circle,
-    build_Y,
-    circle,
-    disc,
-    point,
-    real_sym2_decomposition,
-    real_sym3_decomposition,
-)
+from .realmodels import build_B, build_sym2_circle
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BUNDLE_FORMULA",
-    "BettiVector",
-    "BitMatrixF2",
-    "ChainComplexF2",
-    "CirclePoint",
-    "CWFormatError",
     "CW_MODELS",
-    "DomainError",
-    "EulerCharacteristicMismatch",
-    "FIBER_TOL",
-    "FiberError",
-    "FibrationReport",
-    "GradedPoly",
-    "IntegralityViolation",
+    "ChainComplexF2",
+    "CWFormatError",
     "InterfaceMismatch",
     "InvalidComplexError",
     "MVarietyReport",
     "M_VARIETY",
-    "ROUNDTRIP_TOL",
     "RangeError",
     "STRICT_INEQUALITY",
     "SimplexPoint",
     "SmithViolationError",
-    "SymTriple",
     "UNSUPPORTED_RANGE",
     "VerificationError",
     "betti",
-    "betti_sum_large_n",
     "betti_sum_sym",
-    "boundary_matrix",
     "build_B",
-    "build_Y",
-    "build_half_surface",
     "build_sym2_circle",
-    "build_sym3_circle",
     "check",
-    "circle",
-    "closed_form_sym2",
-    "closed_form_sym3",
-    "diagonal_curve_point",
-    "disc",
-    "enumerate_diagonal_fiber_boundary_intersections",
-    "enumerate_diagonal_section_intersections",
-    "euler_char",
     "glue",
-    "is_boundary_point",
-    "is_nullhomologous",
-    "label_subcomplex",
-    "on_fiber_boundary_curve",
-    "on_section_curve",
-    "point",
     "poincare_sym",
-    "product",
-    "real_sym2_decomposition",
-    "real_sym3_decomposition",
-    "run_property_suite",
-    "sweep",
-    "t_inverse",
     "t_map",
-    "theta",
 ]

@@ -29,7 +29,8 @@ import os
 import sys
 
 from . import fibration, genfun, mcheck, realmodels
-from .homology import CWFormatError, ChainComplexF2, betti, euler_char
+from .homology import (CWFormatError, ChainComplexF2, EulerCharacteristicMismatch, betti,
+                       euler_char)
 
 
 def _print_table(columns, rows, fmt, file):
@@ -243,13 +244,12 @@ def _cmd_check_m(args) -> int:
     # complex sum, and no real sum exceeds it (Smith inequality).
     if reports[-1].complex_sum >= _ANSWER_LIMIT:
         return _reject_size(flags)
-    for rep in reports:
-        if rep.verdict == mcheck.UNSUPPORTED_RANGE:
-            print(
-                f"warning: (g={rep.g}, n={rep.n}) is in the open range "
-                "4 <= n <= 2g-2; no verdict",
-                file=sys.stderr,
-            )
+    open_range = [rep for rep in reports if rep.verdict == mcheck.UNSUPPORTED_RANGE]
+    if open_range:
+        first = open_range[0]
+        print(f"warning: {len(open_range)} of {len(reports)} rows are in the open range "
+              f"4 <= n <= 2g-2 and have no verdict, the first at (g={first.g}, n={first.n})",
+              file=sys.stderr)
     columns = ["g", "n", "complex_sum", "real_sum", "verdict", "method"]
     rows = [rep.csv_row() for rep in reports]
     obj = {"reports": [rep.to_dict() for rep in reports]}
@@ -411,7 +411,10 @@ def main(argv=None) -> int:
     except CWFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except mcheck.VerificationError as exc:
+    except (mcheck.VerificationError, EulerCharacteristicMismatch,
+            genfun.IntegralityViolation) as exc:
+        # a failed internal cross-check: two routes disagreed, or a result
+        # missed the integrality or the Euler characteristic it must have
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:

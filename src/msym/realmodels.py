@@ -1,7 +1,7 @@
 """Curated CW models for the real loci of second and third symmetric products.
 
-The building blocks are deliberately tiny: circles and discs with one cell
-per dimension, a Möbius band modelled as the mapping cylinder of the circle's
+The building blocks are deliberately tiny: a circle with one cell per
+dimension, a Möbius band modelled as the mapping cylinder of the circle's
 double cover, and a solid torus.  Each boundary circle that ever gets glued
 is a two-cell subcomplex (one vertex, one loop edge), so gluing bijections
 are canonical.
@@ -31,23 +31,10 @@ def _block_product(a: ChainComplexF2, b: ChainComplexF2) -> ChainComplexF2:
     return product(a, b)
 
 
-def point(vertex: str = "pt") -> ChainComplexF2:
-    return ChainComplexF2({0: [vertex]}, {})
-
-
 @cache
 def circle() -> ChainComplexF2:
     """Circle with one vertex ``v`` and one loop edge ``e`` (empty mod-2 boundary)."""
     return ChainComplexF2({0: ["v"], 1: ["e"]}, {"e": []})
-
-
-def disc() -> ChainComplexF2:
-    """Disc whose boundary circle is the labeled subcomplex ``boundary``."""
-    return ChainComplexF2(
-        {0: ["v"], 1: ["e"], 2: ["f"]},
-        {"e": [], "f": ["e"]},
-        {"boundary": ["v", "e"]},
-    )
 
 
 def build_half_surface(g: int) -> ChainComplexF2:

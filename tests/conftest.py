@@ -10,25 +10,17 @@ from typing import Callable
 
 import pytest
 
-from msym import (
-    BitMatrixF2,
-    ChainComplexF2,
-    FiberError,
-    GradedPoly,
-    SimplexPoint,
-    boundary_matrix,
+from msym.fibration import FiberError, SimplexPoint, _circle_dist, _mod1
+from msym.genfun import GradedPoly
+from msym.homology import BitMatrixF2, ChainComplexF2, boundary_matrix, glue, product
+from msym.realmodels import (
     build_B,
     build_half_surface,
     build_sym2_circle,
     build_sym3_circle,
     build_Y,
     circle,
-    disc,
-    glue,
-    point,
-    product,
 )
-from msym.fibration import _circle_dist, _mod1
 
 
 def without_labels(c: ChainComplexF2) -> ChainComplexF2:
@@ -191,6 +183,19 @@ def with_elementary_expansions(c: ChainComplexF2) -> ChainComplexF2:
                 bnd[dup] = list(c.boundary_of(cid))
             bnd[bridge] = [cid, dup]
     return ChainComplexF2(cells, bnd, c.labels)
+
+
+def point() -> ChainComplexF2:
+    return ChainComplexF2({0: ["pt"]}, {})
+
+
+def disc() -> ChainComplexF2:
+    """Disc whose boundary circle is the labeled subcomplex ``boundary``."""
+    return ChainComplexF2(
+        {0: ["v"], 1: ["e"], 2: ["f"]},
+        {"e": [], "f": ["e"]},
+        {"boundary": ["v", "e"]},
+    )
 
 
 def two_torus() -> ChainComplexF2:

@@ -11,27 +11,30 @@ from __future__ import annotations
 import random
 import time
 
-from conftest import chained_B, klein_bottle, sphere, three_torus, two_torus, without_labels
+from conftest import (
+    chained_B,
+    disc,
+    klein_bottle,
+    point,
+    sphere,
+    three_torus,
+    two_torus,
+    without_labels,
+)
 
-from msym import (
-    M_VARIETY,
-    betti,
-    betti_sum_sym,
+from msym.fibration import run_property_suite
+from msym.genfun import betti_sum_sym, closed_form_sym2, closed_form_sym3
+from msym.homology import betti, product
+from msym.mcheck import M_VARIETY, check
+from msym.realmodels import (
     build_B,
     build_half_surface,
     build_sym2_circle,
     build_sym3_circle,
     build_Y,
-    check,
     circle,
-    closed_form_sym2,
-    closed_form_sym3,
-    disc,
-    point,
-    product,
     real_sym2_decomposition,
     real_sym3_decomposition,
-    run_property_suite,
 )
 
 

@@ -9,12 +9,14 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from fractions import Fraction
 from math import comb
 
 import pytest
 
-from msym import (ChainComplexF2, betti, build_B, circle, genfun, mcheck, product,
-                  realmodels)
+from msym import genfun, homology, mcheck, realmodels
+from msym.homology import ChainComplexF2, betti, product
+from msym.realmodels import build_B, circle
 from msym.cli import (MAX_ANSWER_DIGITS, MAX_MODEL_GENUS, MAX_POLY_DEGREE, MAX_SWEEP_GENUS,
                       MAX_SWEEP_ROWS, main)
 
@@ -36,6 +38,16 @@ def test_check_m_open_range_warns_but_exits_zero(capsys):
     assert code == 0
     assert "3,4,129,,UNSUPPORTED_RANGE,\n" in out
     assert "open range" in err
+
+
+def test_check_m_writes_one_warning_line_per_call(capsys):
+    code, out, err = run(capsys, ["check-m", "--sweep", "--gmax", "8", "--nmax", "16"])
+    open_range = sum(4 <= n <= 2 * g - 2 for g in range(9) for n in range(2, 17))
+    assert code == 0 and out.count("UNSUPPORTED_RANGE") == open_range == 36
+    warnings = [line for line in err.splitlines() if line.startswith("warning:")]
+    assert len(warnings) == 1
+    assert f"{open_range} of {9 * 15} rows" in warnings[0]
+    assert "open range" in warnings[0] and "(g=3, n=4)" in warnings[0]
 
 
 def test_check_m_sweep_exit_code_and_determinism(capsys):
@@ -388,6 +400,25 @@ def test_real_betti_rejects_other_powers(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["real-betti", "--g", "1", "--n", "4"])
     assert exc.value.code == 2
+
+
+def test_euler_characteristic_mismatch_exits_1_without_traceback(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "B2.json"
+    assert main(["export-model", "--name", "B", "--g", "2", "--out", str(path)]) == 0
+    rank = homology.BitMatrixF2.rank
+    monkeypatch.setattr(homology.BitMatrixF2, "rank", lambda m: rank(m) + (m.ncols == 0))
+    code, out, err = run(capsys, ["homology", "--file", str(path)])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "Euler characteristic" in err
+    assert "Traceback" not in err
+
+
+def test_integrality_violation_exits_1_without_traceback(capsys, monkeypatch):
+    monkeypatch.setattr(mcheck, "closed_form_sym3", lambda g: genfun._as_integer(Fraction(1, 3)))
+    code, out, err = run(capsys, ["check-m", "--g", "2", "--n", "3"])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "expected an integer" in err
+    assert "Traceback" not in err
 
 
 def test_homology_file(capsys, tmp_path):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import msym.fibration as fibration
 from conftest import reference_circle_angle, reference_sorted_points, reference_t_inverse
-from msym import (
+from msym.fibration import (
     CirclePoint,
     DomainError,
     FiberError,

@@ -17,21 +17,20 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from msym import (
+from msym import genfun
+from msym.genfun import (
     GradedPoly,
     IntegralityViolation,
     RangeError,
+    _as_integer,
     betti_sum_large_n,
     betti_sum_sym,
-    build_B,
-    build_Y,
-    check,
     closed_form_sym2,
     closed_form_sym3,
-    genfun,
     poincare_sym,
 )
-from msym.genfun import _as_integer
+from msym.mcheck import check
+from msym.realmodels import build_B, build_Y
 
 from conftest import reference_betti_sum_sym, reference_poincare_sym
 

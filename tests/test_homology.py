@@ -8,6 +8,7 @@ import sys
 
 import pytest
 from conftest import (
+    disc,
     disjoint_union,
     klein_bottle,
     reference_betti,
@@ -25,7 +26,9 @@ from conftest import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from msym import (
+from msym import homology
+from msym.homology import (
+    MAX_CELL_DIM,
     BitMatrixF2,
     ChainComplexF2,
     CWFormatError,
@@ -34,21 +37,20 @@ from msym import (
     InvalidComplexError,
     betti,
     boundary_matrix,
-    build_B,
-    build_half_surface,
-    build_sym2_circle,
-    build_sym3_circle,
-    build_Y,
-    circle,
-    disc,
     euler_char,
     glue,
     is_nullhomologous,
     label_subcomplex,
     product,
 )
-from msym import homology
-from msym.homology import MAX_CELL_DIM
+from msym.realmodels import (
+    build_B,
+    build_half_surface,
+    build_sym2_circle,
+    build_sym3_circle,
+    build_Y,
+    circle,
+)
 
 
 def convolve(a, b):

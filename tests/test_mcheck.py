@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from msym import (
+from msym import mcheck
+from msym.genfun import betti_sum_sym
+from msym.mcheck import (
     BUNDLE_FORMULA,
     CW_MODELS,
     M_VARIETY,
@@ -12,12 +14,10 @@ from msym import (
     UNSUPPORTED_RANGE,
     SmithViolationError,
     VerificationError,
-    betti_sum_sym,
     check,
-    mcheck,
-    real_sym2_decomposition,
     sweep,
 )
+from msym.realmodels import real_sym2_decomposition
 
 
 def test_check_sym2_example():

@@ -7,26 +7,26 @@ from math import comb
 import pytest
 from conftest import chained_B, chained_Y
 
-from msym import (
+from msym import mcheck, realmodels
+from msym.genfun import closed_form_sym2, closed_form_sym3
+from msym.homology import (
     ChainComplexF2,
     betti,
+    euler_char,
+    is_nullhomologous,
+    label_subcomplex,
+    product,
+)
+from msym.mcheck import check
+from msym.realmodels import (
     build_B,
     build_half_surface,
     build_sym2_circle,
     build_sym3_circle,
     build_Y,
-    check,
     circle,
-    closed_form_sym2,
-    closed_form_sym3,
-    euler_char,
-    is_nullhomologous,
-    label_subcomplex,
-    mcheck,
-    product,
     real_sym2_decomposition,
     real_sym3_decomposition,
-    realmodels,
 )
 
 
