@@ -7,10 +7,13 @@ Macdonald's Euler characteristic before printing, and exits 1 likewise.
 
 Exit codes: 0 on success (all verdicts/tolerances met), 1 on any failed
 verification, 2 on bad arguments (including a sweep grid with no (g, n)
-pair) or malformed input files, and 141 (128 + SIGPIPE, what a shell
-reports for a process killed by a closed pipe) with no traceback when the
-reader of stdout closes it before all output is written.  An input whose
-answer is too large to print exits 2 as a bad argument (see
+pair), malformed or unreadable input files, or a ``--out`` file or stdout
+that cannot be written (a full disk), and 141 (128 + SIGPIPE, what a shell
+reports for a process killed by a closed pipe) when the reader of stdout
+closes it before all output is written.  Exits 1 and 2 write one ``error:``
+line to stderr, and no exit writes a traceback: the commands raise, and
+``main`` alone writes that line and picks the code.  An input whose answer
+is too large to print exits 2 as a bad argument (see
 ``MAX_ANSWER_DIGITS``), and so does a genus above ``MAX_MODEL_GENUS`` for
 the commands that build CW models, or a sweep ``--gmax`` above
 ``MAX_SWEEP_GENUS``, or a sweep grid of more than ``MAX_SWEEP_ROWS`` rows.
@@ -29,24 +32,7 @@ import os
 import sys
 
 from . import fibration, genfun, mcheck, realmodels
-from .homology import (CWFormatError, ChainComplexF2, EulerCharacteristicMismatch, betti,
-                       euler_char)
-
-
-def _print_table(columns, rows, fmt, file):
-    if fmt == "csv":
-        writer = csv.writer(file, lineterminator="\n")
-        writer.writerow(columns)
-        writer.writerows(rows)
-        return
-    # markdown, pipe-aligned
-    cells = [[str(c) for c in columns]] + [[str(c) for c in row] for row in rows]
-    widths = [max(len(r[i]) for r in cells) for i in range(len(columns))]
-    header, *body = cells
-    sep = ["-" * w for w in widths]
-    for line in [header, sep, *body]:
-        padded = [val.ljust(w) for val, w in zip(line, widths)]
-        print("| " + " | ".join(padded) + " |", file=file)
+from .homology import ChainComplexF2, EulerCharacteristicMismatch, betti, euler_char
 
 
 def _emit(columns, rows, json_obj, fmt):
@@ -55,8 +41,18 @@ def _emit(columns, rows, json_obj, fmt):
     gives."""
     if fmt == "json":
         print(json_obj if isinstance(json_obj, str) else json.dumps(json_obj, indent=2))
-    else:
-        _print_table(columns, rows, fmt, sys.stdout)
+    elif fmt == "csv":
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows(rows)
+    else:  # markdown, pipe-aligned
+        cells = [[str(c) for c in columns]] + [[str(c) for c in row] for row in rows]
+        widths = [max(len(r[i]) for r in cells) for i in range(len(columns))]
+        header, *body = cells
+        sep = ["-" * w for w in widths]
+        for line in [header, sep, *body]:
+            padded = [val.ljust(w) for val, w in zip(line, widths)]
+            print("| " + " | ".join(padded) + " |")
 
 
 def _json_with_poly(obj: dict, coeffs: tuple[int, ...]) -> str:
@@ -97,11 +93,12 @@ def _check_poincare(g: int, n: int, poly: genfun.GradedPoly, total: int) -> None
 # checked on the computed sum.
 MAX_ANSWER_DIGITS = 4300
 MAX_POLY_DEGREE = 4000
-# The smallest sum too long to print, and its bit length.  Building the
-# 14,285-bit power costs about 70 us, a quarter of a small op, so it is built
-# once here rather than on each call.
+# The smallest sum too long to print, its bit length, and the error text
+# that follows the flags.  Building the 14,285-bit power costs about 70 us, a
+# quarter of a small op, so it is built once here rather than on each call.
 _ANSWER_LIMIT = 10 ** MAX_ANSWER_DIGITS
 _ANSWER_LIMIT_BITS = _ANSWER_LIMIT.bit_length()
+_TOO_LONG = f": the Betti sum has more than {MAX_ANSWER_DIGITS} decimal digits, too many to print"
 
 # The genus cap for the commands that build the CW models Y(g), B(g) and the
 # half surface: check-m with n = 2, 3 (single checks and --gmax of a sweep),
@@ -136,29 +133,16 @@ def _sum_too_long(g: int, n: int) -> bool:
     return low_bits >= _ANSWER_LIMIT_BITS
 
 
-def _reject_size(flags: str) -> int:
-    print(f"error: {flags}: the Betti sum has more than {MAX_ANSWER_DIGITS} decimal "
-          "digits, too many to print", file=sys.stderr)
-    return 2
-
-
-def _reject_genus(flag: str, g: int) -> int:
-    print(f"error: {flag} {g} is above the model genus cap of {MAX_MODEL_GENUS}",
-          file=sys.stderr)
-    return 2
-
-
 def _cmd_betti_sym(args) -> int:
     flags = f"--g {args.g} --n {args.n}"
     if _sum_too_long(args.g, args.n):
-        return _reject_size(flags)
+        raise ValueError(flags + _TOO_LONG)
     total = genfun.betti_sum_sym(args.g, args.n)
     if total >= _ANSWER_LIMIT:
-        return _reject_size(flags)
+        raise ValueError(flags + _TOO_LONG)
     if args.poly and 2 * args.n > MAX_POLY_DEGREE:
-        print(f"error: --n {args.n} with --poly: the Poincare polynomial has degree "
-              f"{2 * args.n}, above the cap of {MAX_POLY_DEGREE}", file=sys.stderr)
-        return 2
+        raise ValueError(f"--n {args.n} with --poly: the Poincare polynomial has degree "
+                         f"{2 * args.n}, above the cap of {MAX_POLY_DEGREE}")
     columns = ["g", "n", "betti_sum"]
     row = [args.g, args.n, total]
     obj = {"g": args.g, "n": args.n, "betti_sum": total}
@@ -176,7 +160,7 @@ def _cmd_betti_sym(args) -> int:
 
 def _cmd_real_betti(args) -> int:
     if args.g > MAX_MODEL_GENUS:
-        return _reject_genus("--g", args.g)
+        raise ValueError(f"--g {args.g} is above the model genus cap of {MAX_MODEL_GENUS}")
     report = mcheck.check(args.g, args.n)
     columns = ["piece", "multiplicity", "betti", "piece_sum", "subtotal"]
     rows = [[name, mult, " ".join(map(str, b)), sum(b), mult * sum(b)]
@@ -199,51 +183,41 @@ def _cmd_check_m(args) -> int:
     if args.sweep:
         for flag, value in (("--g", args.g), ("--n", args.n)):
             if value is not None:
-                print(f"error: {flag} is not used with --sweep; use --gmax and --nmax",
-                      file=sys.stderr)
-                return 2
+                raise ValueError(f"{flag} is not used with --sweep; use --gmax and --nmax")
         if args.gmax is None or args.nmax is None:
-            print("error: --sweep requires --gmax and --nmax", file=sys.stderr)
-            return 2
+            raise ValueError("--sweep requires --gmax and --nmax")
         for flag, value, low in (("--gmax", args.gmax, 0), ("--nmax", args.nmax, 2)):
             if value < low:
-                print(f"error: {flag} {value} leaves the sweep empty; it must be >= {low}",
-                      file=sys.stderr)
-                return 2
+                raise ValueError(f"{flag} {value} leaves the sweep empty; it must be >= {low}")
         flags = f"--gmax {args.gmax} --nmax {args.nmax}"
         if _sum_too_long(args.gmax, args.nmax):
-            return _reject_size(flags)
+            raise ValueError(flags + _TOO_LONG)
         # every sweep checks n = 2, which builds a model, at each genus
         if args.gmax > MAX_MODEL_GENUS:
-            return _reject_genus("--gmax", args.gmax)
+            raise ValueError(f"--gmax {args.gmax} is above the model genus cap of {MAX_MODEL_GENUS}")
         if args.gmax > MAX_SWEEP_GENUS:
-            print(f"error: --gmax {args.gmax} is above the sweep genus cap of {MAX_SWEEP_GENUS}",
-                  file=sys.stderr)
-            return 2
+            raise ValueError(f"--gmax {args.gmax} is above the sweep genus cap of {MAX_SWEEP_GENUS}")
         rows = (args.gmax + 1) * (args.nmax - 1)
         if rows > MAX_SWEEP_ROWS:
-            print(f"error: --nmax {args.nmax} with --gmax {args.gmax} makes {rows} sweep rows, "
-                  f"above the sweep row cap of {MAX_SWEEP_ROWS}", file=sys.stderr)
-            return 2
+            raise ValueError(f"--nmax {args.nmax} with --gmax {args.gmax} makes {rows} sweep rows, "
+                             f"above the sweep row cap of {MAX_SWEEP_ROWS}")
         reports = mcheck.sweep(args.gmax, args.nmax)
     else:
         for flag, value in (("--gmax", args.gmax), ("--nmax", args.nmax)):
             if value is not None:
-                print(f"error: {flag} is not used without --sweep", file=sys.stderr)
-                return 2
+                raise ValueError(f"{flag} is not used without --sweep")
         if args.g is None or args.n is None:
-            print("error: provide --g and --n, or --sweep", file=sys.stderr)
-            return 2
+            raise ValueError("provide --g and --n, or --sweep")
         flags = f"--g {args.g} --n {args.n}"
         if _sum_too_long(args.g, args.n):
-            return _reject_size(flags)
+            raise ValueError(flags + _TOO_LONG)
         if args.n in (2, 3) and args.g > MAX_MODEL_GENUS:
-            return _reject_genus("--g", args.g)
+            raise ValueError(f"--g {args.g} is above the model genus cap of {MAX_MODEL_GENUS}")
         reports = [mcheck.check(args.g, args.n)]
     # The Betti sum grows with g and n, so the last row has the longest
     # complex sum, and no real sum exceeds it (Smith inequality).
     if reports[-1].complex_sum >= _ANSWER_LIMIT:
-        return _reject_size(flags)
+        raise ValueError(flags + _TOO_LONG)
     open_range = [rep for rep in reports if rep.verdict == mcheck.UNSUPPORTED_RANGE]
     if open_range:
         first = open_range[0]
@@ -259,12 +233,8 @@ def _cmd_check_m(args) -> int:
 
 
 def _cmd_homology(args) -> int:
-    try:
-        with open(args.file, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    with open(args.file, "r", encoding="utf-8") as fh:
+        text = fh.read()
     cw = ChainComplexF2.from_json(text)
     b = betti(cw)
     chi = euler_char(cw)
@@ -278,12 +248,10 @@ def _cmd_homology(args) -> int:
 
 def _cmd_verify_fibration(args) -> int:
     if args.samples < 1:
-        print(f"error: --samples {args.samples} must be at least 1", file=sys.stderr)
-        return 2
+        raise ValueError(f"--samples {args.samples} must be at least 1")
     # nan and values <= 0 would fail every check, inf would pass every one
     if not (math.isfinite(args.tol) and args.tol > 0):
-        print(f"error: --tol {args.tol!r} must be a finite number > 0", file=sys.stderr)
-        return 2
+        raise ValueError(f"--tol {args.tol!r} must be a finite number > 0")
     report = fibration.run_property_suite(samples=args.samples, seed=args.seed,
                                           roundtrip_tol=args.tol)
     checks = report.checks()
@@ -318,22 +286,16 @@ _MODELS = {"half": ("build_half_surface", True), "Y": ("build_Y", True), "B": ("
 def _cmd_export_model(args) -> int:
     builder, takes_genus = _MODELS[args.name]
     if takes_genus != (args.g is not None):
-        fault = (f"model {args.name} requires --g" if takes_genus
-                 else f"--g is not used with model {args.name}")
-        print(f"error: {fault}", file=sys.stderr)
-        return 2
+        raise ValueError(f"model {args.name} requires --g" if takes_genus
+                         else f"--g is not used with model {args.name}")
     if takes_genus and args.g > MAX_MODEL_GENUS:
-        return _reject_genus("--g", args.g)
+        raise ValueError(f"--g {args.g} is above the model genus cap of {MAX_MODEL_GENUS}")
     build = getattr(realmodels, builder)
     cw = build(args.g) if takes_genus else build()
     text = cw.to_json()
     if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
     else:
         print(text)
     return 0
@@ -404,22 +366,26 @@ def main(argv=None) -> int:
         sys.stdout.flush()
         return code
     except BrokenPipeError:
-        # The reader closed stdout early (``msym ... | head``).  Point stdout
-        # at devnull so the interpreter's flush at exit cannot fail again.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        # the reader closed stdout early (``msym ... | head``)
         return 141
-    except CWFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (mcheck.VerificationError, EulerCharacteristicMismatch,
             genfun.IntegralityViolation) as exc:
         # a failed internal cross-check: two routes disagreed, or a result
         # missed the integrality or the Euler characteristic it must have
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
+        # a bad argument or input file, or a file or stdout that cannot be
+        # read or written
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        try:
+            sys.stdout.flush()
+        except OSError:
+            # stdout holds output it cannot take (a closed pipe, a full disk):
+            # point it at devnull so the flush at exit cannot fail again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 if __name__ == "__main__":

@@ -110,21 +110,6 @@ class SymTriple:
         a, b, c = self.pts
         return a.is_exact and b.is_exact and c.is_exact
 
-    def distance_to(self, other: "SymTriple"):
-        """Max angle distance under the best cyclic matching.
-
-        The sorted representative is ambiguous when angles sit near 0/1, so
-        all three rotations of the matching are considered.
-        """
-        a = self.angles()
-        b = other.angles()
-        best = None
-        for k in range(3):
-            d = max(_circle_dist(a[i], b[(i + k) % 3]) for i in range(3))
-            if best is None or d < best:
-                best = d
-        return best
-
     def has_repeated_point(self, tol: float = ROUNDTRIP_TOL) -> bool:
         """Whether two of the three points coincide within tol (mod 1)."""
         p1, p2, p3 = self.pts
@@ -277,15 +262,11 @@ def _diagonal_curve_candidates() -> tuple[SymTriple, ...]:
 
 
 def _diagonal_curve_hits(on_curve: Callable[[SymTriple], bool]):
-    """Distinct points of the diagonal-direction curve that satisfy
-    ``on_curve``, searched over rational angles, sorted by their angles.
-    The candidates are built once per process; ``on_curve`` tests all of
-    them at every call."""
-    found: dict[tuple, SymTriple] = {}
-    for tr in _diagonal_curve_candidates():
-        if on_curve(tr):
-            found.setdefault(tr.angles(), tr)
-    return tuple(found[k] for k in sorted(found))
+    """The points of the diagonal-direction curve that satisfy ``on_curve``,
+    searched over rational angles, sorted by their angles.  The candidates
+    are distinct and built once per process; ``on_curve`` tests all of them
+    at every call."""
+    return tuple(sorted(filter(on_curve, _diagonal_curve_candidates()), key=SymTriple.angles))
 
 
 def enumerate_diagonal_section_intersections() -> tuple[SymTriple, ...]:

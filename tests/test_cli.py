@@ -638,6 +638,67 @@ def test_export_model_to_unwritable_path_exits_2(capsys, tmp_path):
     assert err.startswith("error:") and str(path) in err
 
 
+# every exit-2 text, word for word; {tmp} is the test's temporary directory
+EXIT_2_TEXTS = [
+    (["check-m", "--sweep", "--gmax", "3", "--nmax", "3", "--g", "5"],
+     "--g is not used with --sweep; use --gmax and --nmax"),
+    (["check-m", "--sweep", "--gmax", "3", "--nmax", "3", "--n", "5"],
+     "--n is not used with --sweep; use --gmax and --nmax"),
+    (["check-m", "--sweep", "--nmax", "3"], "--sweep requires --gmax and --nmax"),
+    (["check-m", "--sweep", "--gmax", "3"], "--sweep requires --gmax and --nmax"),
+    (["check-m", "--sweep", "--gmax", "-1", "--nmax", "3"],
+     "--gmax -1 leaves the sweep empty; it must be >= 0"),
+    (["check-m", "--sweep", "--gmax", "3", "--nmax", "1"],
+     "--nmax 1 leaves the sweep empty; it must be >= 2"),
+    (["check-m", "--sweep", "--gmax", "20000", "--nmax", "30000"],
+     "--gmax 20000 --nmax 30000: the Betti sum has more than 4300 decimal digits, too many to print"),
+    (["check-m", "--sweep", "--gmax", "10001", "--nmax", "2"],
+     "--gmax 10001 is above the model genus cap of 10000"),
+    (["check-m", "--sweep", "--gmax", "401", "--nmax", "3"],
+     "--gmax 401 is above the sweep genus cap of 400"),
+    (["check-m", "--sweep", "--gmax", "100", "--nmax", "800"],
+     "--nmax 800 with --gmax 100 makes 80699 sweep rows, above the sweep row cap of 20000"),
+    (["check-m", "--g", "1", "--n", "2", "--gmax", "3"], "--gmax is not used without --sweep"),
+    (["check-m", "--g", "1", "--n", "2", "--nmax", "3"], "--nmax is not used without --sweep"),
+    (["check-m"], "provide --g and --n, or --sweep"),
+    (["check-m", "--g", "1"], "provide --g and --n, or --sweep"),
+    (["check-m", "--g", "100000", "--n", "5000"],
+     "--g 100000 --n 5000: the Betti sum has more than 4300 decimal digits, too many to print"),
+    (["check-m", "--g", "7200", "--n", "14400"],
+     "--g 7200 --n 14400: the Betti sum has more than 4300 decimal digits, too many to print"),
+    (["check-m", "--g", "10001", "--n", "3"], "--g 10001 is above the model genus cap of 10000"),
+    (["betti-sym", "--g", "20000", "--n", "20000"],
+     "--g 20000 --n 20000: the Betti sum has more than 4300 decimal digits, too many to print"),
+    (["betti-sym", "--g", "7500", "--n", "7000"],
+     "--g 7500 --n 7000: the Betti sum has more than 4300 decimal digits, too many to print"),
+    (["betti-sym", "--g", "2", "--n", "100000000", "--poly"],
+     "--n 100000000 with --poly: the Poincare polynomial has degree 200000000, above the cap of 4000"),
+    (["betti-sym", "--g", "-1", "--n", "2"], "genus must be nonnegative, got -1"),
+    (["real-betti", "--g", "10001", "--n", "2"], "--g 10001 is above the model genus cap of 10000"),
+    (["export-model", "--name", "B", "--g", "10001"],
+     "--g 10001 is above the model genus cap of 10000"),
+    (["export-model", "--name", "half"], "model half requires --g"),
+    (["export-model", "--name", "sym2circle", "--g", "5"], "--g is not used with model sym2circle"),
+    (["verify-fibration", "--samples", "0"], "--samples 0 must be at least 1"),
+    (["verify-fibration", "--samples", "10", "--tol", "nan"], "--tol nan must be a finite number > 0"),
+    (["verify-fibration", "--samples", "10", "--tol", "-1"], "--tol -1.0 must be a finite number > 0"),
+    (["homology", "--file", "{tmp}/nope.json"],
+     "[Errno 2] No such file or directory: '{tmp}/nope.json'"),
+    (["homology", "--file", "{tmp}"], "[Errno 21] Is a directory: '{tmp}'"),
+    (["export-model", "--name", "B", "--g", "1", "--out", "{tmp}/no-such-dir/b.json"],
+     "[Errno 2] No such file or directory: '{tmp}/no-such-dir/b.json'"),
+]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "md", "json"])
+@pytest.mark.parametrize("argv,text", EXIT_2_TEXTS)
+def test_every_rejection_prints_its_text_word_for_word(capsys, tmp_path, fmt, argv, text):
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    if argv[0] != "export-model":  # the one command without --format
+        argv += ["--format", fmt]
+    assert run(capsys, argv) == (2, "", f"error: {text.format(tmp=tmp_path)}\n")
+
+
 def test_invalid_values_exit_2(capsys):
     code, _, err = run(capsys, ["betti-sym", "--g", "-1", "--n", "2"])
     assert code == 2
@@ -677,3 +738,23 @@ def test_closed_stdout_exits_141_without_traceback(argv):
         err = proc.stderr.read()
         assert proc.wait(timeout=60) == 141
     assert b"Traceback" not in err and b"BrokenPipeError" not in err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [
+    ["check-m", "--sweep", "--gmax", "30", "--nmax", "40", "--format", "csv"],  # fails in a write
+    ["betti-sym", "--g", "2", "--n", "3"],  # output fits the buffer: fails in the final flush
+    ["betti-sym", "--g", "751", "--n", "1501", "--poly", "--format", "json"],  # one large write
+])
+def test_full_stdout_exits_2_without_traceback(argv):
+    # stdout buffered as a user's shell gives it, so the small output fails in the flush
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(sys.path)
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run([sys.executable, "-m", "msym.cli", *argv], stdout=full,
+                              stderr=subprocess.PIPE, env=env, timeout=60)
+    err = proc.stderr.decode()
+    assert proc.returncode == 2
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        "error: [Errno 28] No space left on device"]
+    assert "Traceback" not in err and "Exception ignored" not in err

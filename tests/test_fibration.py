@@ -130,7 +130,7 @@ def test_t_inverse_by_exhaustive_lift_search():
 def test_t_inverse_roundtrip_on_floats():
     tr = SymTriple.from_angles(0.9, 0.9, 0.2)
     p = t_inverse(tr)
-    assert t_map(p).distance_to(tr) < 1e-9
+    assert t_map(p).angles() == pytest.approx(tr.angles(), abs=1e-9)
 
 
 def test_t_inverse_order_invariance():
@@ -193,12 +193,6 @@ def test_boundary_matches_repeated_points():
                 u, v = 1 - u, 1 - v
             p = SimplexPoint(u, v)
         assert is_boundary_point(p) == t_map(p).has_repeated_point(1e-9)
-
-
-def test_triple_distance_handles_wraparound():
-    a = SymTriple.from_angles(1 - 1e-12, 0.3, 0.6)
-    b = SymTriple.from_angles(0.0, 0.3, 0.6)
-    assert a.distance_to(b) < 1e-11
 
 
 # --- exact and float angle types -------------------------------------------------------
