@@ -5,18 +5,22 @@ certifies, so it runs the same cross-checks and exits 1 if they disagree.
 ``betti-sym --poly`` checks the Poincare polynomial against the Betti sum and
 Macdonald's Euler characteristic before printing, and exits 1 likewise.
 
-Exit codes: 0 on success (all verdicts/tolerances met), 1 on any failed
-verification, 2 on bad arguments (including a sweep grid with no (g, n)
-pair), malformed or unreadable input files, or a ``--out`` file or stdout
-that cannot be written (a full disk), and 141 (128 + SIGPIPE, what a shell
-reports for a process killed by a closed pipe) when the reader of stdout
-closes it before all output is written.  Exits 1 and 2 write one ``error:``
-line to stderr, and no exit writes a traceback: the commands raise, and
-``main`` alone writes that line and picks the code.  An input whose answer
-is too large to print exits 2 as a bad argument (see
-``MAX_ANSWER_DIGITS``), and so does a genus above ``MAX_MODEL_GENUS`` for
-the commands that build CW models, or a sweep ``--gmax`` above
-``MAX_SWEEP_GENUS``, or a sweep grid of more than ``MAX_SWEEP_ROWS`` rows.
+Exit codes: 0 on success, 1 on a failed verdict, check or cross-check, 2 on
+bad arguments (including a sweep grid with no (g, n) pair), malformed or
+unreadable input files, or a ``--out`` file or stdout that cannot be written
+(a full disk), and 141 (128 + SIGPIPE, what a shell reports for a process
+killed by a closed pipe) when the reader of stdout closes it before all output
+is written.  Exits 1 and 2 write one ``error:`` line to stderr, and no exit
+writes a traceback: the commands print or raise, and ``main`` alone writes
+that line and picks the code.  A failed verdict or check still prints its
+table; its line counts the ``STRICT_INEQUALITY`` rows of ``check-m`` and names
+the first, or counts and names the failed ``verify-fibration`` checks.  An
+input whose answer is too large to print exits 2 as a bad argument (see
+``MAX_ANSWER_DIGITS``), and so does a genus above ``MAX_MODEL_GENUS`` for the
+commands that build CW models, a sweep ``--gmax`` above ``MAX_SWEEP_GENUS``, a
+sweep grid of more than ``MAX_SWEEP_ROWS`` rows, a ``--samples`` above
+``MAX_SAMPLES``, a ``--tol`` whose fiber bound ``tol/1000`` is 0.0, or a
+``homology --file`` above ``MAX_FILE_BYTES``.
 Output is byte-deterministic for fixed flags and seed; sweep rows come out
 sorted by (g, n).
 """
@@ -119,6 +123,15 @@ MAX_SWEEP_GENUS = 400
 # --gmax 400 --nmax 50 takes about 1.1x as long as --gmax 400 --nmax 3 and
 # 37 MiB (Python 3.11.7, one core of a 2-core Intel Xeon).
 MAX_SWEEP_ROWS = 20_000
+# The --samples cap of verify-fibration, whose time is linear in --samples:
+# at the cap it takes 7.1-8.2 s and 17 MiB (Python 3.11.7, one core of a
+# 2-core Intel Xeon), about as long as the largest sweep.
+MAX_SAMPLES = 1_000_000
+# The cap on what homology --file reads, in characters (bytes for the ASCII
+# that export-model writes); one more is read, so /dev/zero is refused at once.
+# export-model --name B --g 10000 writes 10,669,843 bytes, which homology reads
+# and ranks in about 1.1 s and 193 MiB (same host).
+MAX_FILE_BYTES = 32 * 2**20
 
 
 def _sum_too_long(g: int, n: int) -> bool:
@@ -133,7 +146,7 @@ def _sum_too_long(g: int, n: int) -> bool:
     return low_bits >= _ANSWER_LIMIT_BITS
 
 
-def _cmd_betti_sym(args) -> int:
+def _cmd_betti_sym(args) -> None:
     flags = f"--g {args.g} --n {args.n}"
     if _sum_too_long(args.g, args.n):
         raise ValueError(flags + _TOO_LONG)
@@ -155,10 +168,9 @@ def _cmd_betti_sym(args) -> int:
         else:
             row.append(str(poly))
     _emit(columns, [row], obj, args.format)
-    return 0
 
 
-def _cmd_real_betti(args) -> int:
+def _cmd_real_betti(args) -> None:
     if args.g > MAX_MODEL_GENUS:
         raise ValueError(f"--g {args.g} is above the model genus cap of {MAX_MODEL_GENUS}")
     report = mcheck.check(args.g, args.n)
@@ -176,10 +188,9 @@ def _cmd_real_betti(args) -> int:
         "total_betti_sum": report.real_sum,
     }
     _emit(columns, rows, obj, args.format)
-    return 0
 
 
-def _cmd_check_m(args) -> int:
+def _cmd_check_m(args) -> None:
     if args.sweep:
         for flag, value in (("--g", args.g), ("--n", args.n)):
             if value is not None:
@@ -228,13 +239,17 @@ def _cmd_check_m(args) -> int:
     rows = [rep.csv_row() for rep in reports]
     obj = {"reports": [rep.to_dict() for rep in reports]}
     _emit(columns, rows, obj, args.format)
-    decided = [r for r in reports if r.verdict != mcheck.UNSUPPORTED_RANGE]
-    return 0 if all(r.verdict == mcheck.M_VARIETY for r in decided) else 1
+    if strict := [rep for rep in reports if rep.verdict == mcheck.STRICT_INEQUALITY]:
+        raise mcheck.VerificationError(f"{len(strict)} of {len(reports)} rows are not M-varieties, "
+                                       f"the first at (g={strict[0].g}, n={strict[0].n})")
 
 
-def _cmd_homology(args) -> int:
+def _cmd_homology(args) -> None:
     with open(args.file, "r", encoding="utf-8") as fh:
-        text = fh.read()
+        text = fh.read(MAX_FILE_BYTES + 1)
+    if len(text) > MAX_FILE_BYTES:
+        raise ValueError(f"--file {args.file} is larger than the file size cap of "
+                         f"{MAX_FILE_BYTES} bytes")
     cw = ChainComplexF2.from_json(text)
     b = betti(cw)
     chi = euler_char(cw)
@@ -243,15 +258,19 @@ def _cmd_homology(args) -> int:
     rows = [[args.file, cells, " ".join(str(x) for x in b), chi]]
     obj = {"file": args.file, "cells": cells, "betti": list(b), "euler_char": chi}
     _emit(columns, rows, obj, args.format)
-    return 0
 
 
-def _cmd_verify_fibration(args) -> int:
+def _cmd_verify_fibration(args) -> None:
     if args.samples < 1:
         raise ValueError(f"--samples {args.samples} must be at least 1")
-    # nan and values <= 0 would fail every check, inf would pass every one
+    if args.samples > MAX_SAMPLES:
+        raise ValueError(f"--samples {args.samples} is above the sample cap of {MAX_SAMPLES}")
+    # nan and values <= 0 would fail every check, inf would pass every one,
+    # and a fiber bound of 0.0 would fail by construction
     if not (math.isfinite(args.tol) and args.tol > 0):
         raise ValueError(f"--tol {args.tol!r} must be a finite number > 0")
+    if args.tol / 1000 == 0:
+        raise ValueError(f"--tol {args.tol!r} is too small: its fiber bound tol / 1000 is 0.0")
     report = fibration.run_property_suite(samples=args.samples, seed=args.seed,
                                           roundtrip_tol=args.tol)
     checks = report.checks()
@@ -274,7 +293,9 @@ def _cmd_verify_fibration(args) -> int:
         "all_passed": report.all_passed,
     }
     _emit(columns, rows, obj, args.format)
-    return 0 if report.all_passed else 1
+    if failed := [name for name, _, _, ok in checks if not ok]:
+        raise mcheck.VerificationError(f"{len(failed)} of {len(checks)} checks failed: "
+                                       + ", ".join(failed))
 
 
 # model name -> (its builder in realmodels, whether it takes --g); looked up
@@ -283,7 +304,7 @@ _MODELS = {"half": ("build_half_surface", True), "Y": ("build_Y", True), "B": ("
            "sym2circle": ("build_sym2_circle", False), "sym3circle": ("build_sym3_circle", False)}
 
 
-def _cmd_export_model(args) -> int:
+def _cmd_export_model(args) -> None:
     builder, takes_genus = _MODELS[args.name]
     if takes_genus != (args.g is not None):
         raise ValueError(f"model {args.name} requires --g" if takes_genus
@@ -298,7 +319,6 @@ def _cmd_export_model(args) -> int:
             fh.write(text + "\n")
     else:
         print(text)
-    return 0
 
 
 @functools.cache
@@ -362,9 +382,9 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        code = args.func(args)
+        args.func(args)
         sys.stdout.flush()
-        return code
+        return 0
     except BrokenPipeError:
         # the reader closed stdout early (``msym ... | head``)
         return 141

@@ -107,9 +107,9 @@ class BitMatrixF2(object):
 
 
 class ChainComplexF2(object):
-    """Immutable finite chain complex over GF(2) with labeled subcomplexes,
-    built from ``str`` cell ids taken as given; of several faults, the first
-    in input order is reported.  Stored: ``_cells[d]``, the d-cell ids;
+    """Immutable finite chain complex over GF(2) with labeled subcomplexes, built
+    from ``int`` dimensions and ``str`` cell ids taken as given; of several faults,
+    the first in input order is reported.  Stored: ``_cells[d]``, the d-cell ids;
     ``_index[d]``, d-cell id -> position; ``_faces[d][i]``, the face positions
     of the i-th d-cell; ``_labels``, name -> set of (dimension, position) pairs."""
 
@@ -123,7 +123,7 @@ class ChainComplexF2(object):
     ):
         by_dim: dict[int, tuple[str, ...]] = {}
         for dim, ids in cells.items():
-            d = int(dim)
+            d = operator.index(dim)
             if d < 0:
                 raise InvalidComplexError(f"negative cell dimension {d}")
             by_dim[d] = tuple(ids)

@@ -35,7 +35,7 @@ BUNDLE_FORMULA = "BUNDLE_FORMULA"
 
 
 class VerificationError(RuntimeError):
-    """Two independent computation routes disagreed; a model or formula is broken."""
+    """Two independent routes disagreed (a model or formula is broken), or a check failed."""
 
 
 class SmithViolationError(VerificationError):

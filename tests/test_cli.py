@@ -14,11 +14,11 @@ from math import comb
 
 import pytest
 
-from msym import genfun, homology, mcheck, realmodels
+from msym import cli, fibration, genfun, homology, mcheck, realmodels
 from msym.homology import ChainComplexF2, betti, product
 from msym.realmodels import build_B, circle
-from msym.cli import (MAX_ANSWER_DIGITS, MAX_MODEL_GENUS, MAX_POLY_DEGREE, MAX_SWEEP_GENUS,
-                      MAX_SWEEP_ROWS, main)
+from msym.cli import (MAX_ANSWER_DIGITS, MAX_FILE_BYTES, MAX_MODEL_GENUS, MAX_POLY_DEGREE,
+                      MAX_SAMPLES, MAX_SWEEP_GENUS, MAX_SWEEP_ROWS, main)
 
 
 def run(capsys, argv):
@@ -93,6 +93,35 @@ def test_check_m_json_round_trip(capsys):
     assert rep["complex_sum"] == rep["real_sum"] == 32
     assert rep["verdict"] == "M_VARIETY"
     assert {p["name"] for p in rep["per_piece"]} == {"3-torus", "B"}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "md", "json"])
+def test_a_strict_inequality_row_prints_its_table_then_one_error_line(capsys, monkeypatch, fmt):
+    # (1, 5) is decided by the bundle formula alone; one below the complex sum
+    # reaches the verdict with no other route to catch it first
+    monkeypatch.setattr(mcheck, "betti_sum_large_n", lambda g, n: genfun.betti_sum_sym(g, n) - 1)
+    code, out, err = run(capsys, ["check-m", "--g", "1", "--n", "5", "--format", fmt])
+    assert code == 1
+    assert err == "error: 1 of 1 rows are not M-varieties, the first at (g=1, n=5)\n"
+    if fmt == "csv":
+        assert out == ("g,n,complex_sum,real_sum,verdict,method\n"
+                       "1,5,20,19,STRICT_INEQUALITY,BUNDLE_FORMULA\n")
+    else:
+        assert out.count("STRICT_INEQUALITY") == 1
+
+
+def test_a_sweep_counts_its_strict_inequality_rows_and_names_the_first(capsys, monkeypatch):
+    large_n = mcheck.betti_sum_large_n
+    # only rows with n >= 4 are decided by the bundle formula alone
+    monkeypatch.setattr(mcheck, "betti_sum_large_n", lambda g, n: large_n(g, n) - (n >= 4))
+    code, out, err = run(capsys, ["check-m", "--sweep", "--gmax", "3", "--nmax", "5",
+                                  "--format", "csv"])
+    assert code == 1 and out.count("STRICT_INEQUALITY") == 7
+    assert err.splitlines() == [
+        "warning: 1 of 16 rows are in the open range 4 <= n <= 2g-2 and have no verdict, "
+        "the first at (g=3, n=4)",
+        "error: 7 of 16 rows are not M-varieties, the first at (g=0, n=4)",
+    ]
 
 
 def test_betti_sym_poly(capsys):
@@ -330,6 +359,13 @@ def test_sweep_grid_above_the_row_cap_is_rejected_at_once(capsys, monkeypatch):
     assert (MAX_SWEEP_GENUS + 1) * 2 <= MAX_SWEEP_ROWS  # --nmax 3 sweeps to the genus cap
 
 
+def test_model_genus_cap_admits_the_cap(capsys, monkeypatch):
+    built = []
+    monkeypatch.setattr(realmodels, "build_half_surface", lambda g: built.append(g) or circle())
+    code, _, _ = run(capsys, ["export-model", "--name", "half", "--g", str(MAX_MODEL_GENUS)])
+    assert (code, built) == (0, [MAX_MODEL_GENUS])
+
+
 def test_model_genus_cap_leaves_other_powers_alone(capsys):
     # n >= 4 builds no model, so the cap does not apply
     code, out, _ = run(capsys, ["check-m", "--g", str(MAX_MODEL_GENUS + 1), "--n", "5",
@@ -474,6 +510,31 @@ def test_homology_names_the_first_fault_in_input_order_under_every_hash_seed(tmp
         assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {error}\n"), seed
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+def test_homology_stops_reading_dev_zero_at_the_cap(capsys):
+    start = time.perf_counter()
+    result = run(capsys, ["homology", "--file", "/dev/zero"])
+    assert time.perf_counter() - start < 1
+    assert result == (2, "", f"error: --file /dev/zero is larger than the file size cap of "
+                             f"{MAX_FILE_BYTES} bytes\n")
+
+
+def test_homology_file_cap_admits_exactly_its_size(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "torus.json"
+    text = product(circle(), circle()).to_json()
+    path.write_text(text)
+    monkeypatch.setattr(cli, "MAX_FILE_BYTES", len(text))
+    assert run(capsys, ["homology", "--file", str(path)])[0] == 0
+    monkeypatch.setattr(cli, "MAX_FILE_BYTES", len(text) - 1)
+    assert run(capsys, ["homology", "--file", str(path)]) == (
+        2, "", f"error: --file {path} is larger than the file size cap of {len(text) - 1} bytes\n")
+
+
+def test_homology_file_cap_admits_the_largest_curated_export():
+    # the export grows about linearly in g (10,669,843 bytes for B(10000))
+    assert len(build_B(1000).to_json()) * (MAX_MODEL_GENUS // 1000) * 2 < MAX_FILE_BYTES
+
+
 def test_homology_missing_file(capsys, tmp_path):
     code, _, err = run(capsys, ["homology", "--file", str(tmp_path / "nope.json")])
     assert code == 2
@@ -505,6 +566,39 @@ def test_verify_fibration_deterministic(capsys):
 def test_verify_fibration_fails_under_absurd_tolerance(capsys):
     code, _, _ = run(capsys, ["verify-fibration", "--samples", "200", "--tol", "1e-30"])
     assert code == 1
+
+
+@pytest.mark.parametrize("fmt", ["csv", "md", "json"])
+def test_failed_fibration_checks_print_their_table_then_one_error_line(capsys, fmt):
+    argv = ["verify-fibration", "--samples", "2", "--tol", "1e-20", "--format", fmt]
+    code, out, err = run(capsys, argv)
+    assert code == 1
+    assert err == "error: 2 of 5 checks failed: roundtrip_max_error, fiber_max_error\n"
+    if fmt == "csv":
+        assert out == (
+            "check,value,required,passed\n"
+            "roundtrip_max_error,2.7755575615628914e-17,1e-20,no\n"
+            "fiber_max_error,1.1102230246251565e-16,1e-23,no\n"
+            "boundary_agreement,1.0,1.0,yes\n"
+            "section_intersections,1,1,yes\n"
+            "fiber_boundary_intersections,2,2,yes\n"
+        )
+    elif fmt == "json":
+        assert json.loads(out)["all_passed"] is False
+
+
+def test_samples_above_the_cap_are_rejected_at_once(capsys, monkeypatch):
+    suite = fibration.run_property_suite
+    monkeypatch.setattr(fibration, "run_property_suite", refuse)
+    result = run(capsys, ["verify-fibration", "--samples", str(MAX_SAMPLES + 1)])
+    assert result == (2, "", f"error: --samples {MAX_SAMPLES + 1} is above the sample cap "
+                             f"of {MAX_SAMPLES}\n")
+    ran = []
+    monkeypatch.setattr(fibration, "run_property_suite",
+                        lambda samples, seed, roundtrip_tol: ran.append(samples)
+                        or suite(1, seed, roundtrip_tol))
+    code, _, _ = run(capsys, ["verify-fibration", "--samples", str(MAX_SAMPLES)])
+    assert (code, ran) == (0, [MAX_SAMPLES])
 
 
 # stdout of the implementation before the float fast paths, byte for byte;
@@ -682,11 +776,19 @@ EXIT_2_TEXTS = [
     (["verify-fibration", "--samples", "0"], "--samples 0 must be at least 1"),
     (["verify-fibration", "--samples", "10", "--tol", "nan"], "--tol nan must be a finite number > 0"),
     (["verify-fibration", "--samples", "10", "--tol", "-1"], "--tol -1.0 must be a finite number > 0"),
+    (["verify-fibration", "--samples", "1000001"], "--samples 1000001 is above the sample cap of 1000000"),
+    (["verify-fibration", "--samples", "10", "--tol", "5e-324"],
+     "--tol 5e-324 is too small: its fiber bound tol / 1000 is 0.0"),
+    (["verify-fibration", "--samples", "10", "--tol", "2e-321"],
+     "--tol 2e-321 is too small: its fiber bound tol / 1000 is 0.0"),
     (["homology", "--file", "{tmp}/nope.json"],
      "[Errno 2] No such file or directory: '{tmp}/nope.json'"),
     (["homology", "--file", "{tmp}"], "[Errno 21] Is a directory: '{tmp}'"),
     (["export-model", "--name", "B", "--g", "1", "--out", "{tmp}/no-such-dir/b.json"],
      "[Errno 2] No such file or directory: '{tmp}/no-such-dir/b.json'"),
+    pytest.param(["homology", "--file", "/dev/zero"],
+                 "--file /dev/zero is larger than the file size cap of 33554432 bytes",
+                 marks=pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")),
 ]
 
 
@@ -731,7 +833,9 @@ def test_md_tables_are_pipe_aligned(capsys):
     ["betti-sym", "--g", "751", "--n", "1501", "--poly", "--format", "json"],  # one large write
 ])
 def test_closed_stdout_exits_141_without_traceback(argv):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    # stdout buffered as a user's shell gives it, so the small output fails in the flush
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(sys.path)
     with subprocess.Popen([sys.executable, "-m", "msym.cli", *argv],
                           stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
         proc.stdout.close()  # the reader is gone before the first byte is written

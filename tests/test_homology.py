@@ -514,6 +514,12 @@ def test_construction_takes_face_and_member_lists_as_collections_not_iterators()
     assert closed.label("L") == {"e", "v"}
 
 
+@pytest.mark.parametrize("cells", [{0: ["v"], 1: ["e"], "1": ["f"]}, {0: ["v"], 1.9: ["e"]}])
+def test_construction_takes_dimension_keys_as_given(cells):
+    with pytest.raises(TypeError):  # not parsed, merged or truncated
+        ChainComplexF2(cells, {})
+
+
 def test_construction_rejects_zero_cell_boundary():
     with pytest.raises(InvalidComplexError, match="0-cell"):
         ChainComplexF2({0: ["u", "v"]}, {"u": ["v"]})
