@@ -7,8 +7,9 @@ Macdonald's Euler characteristic before printing, and exits 1 likewise.
 
 Exit codes: 0 on success, 1 on a failed verdict, check or cross-check, 2 on
 bad arguments (including a sweep grid with no (g, n) pair), malformed or
-unreadable input files, or a ``--out`` file or stdout that cannot be written
-(a full disk), and 141 (128 + SIGPIPE, what a shell reports for a process
+unreadable input files, a ``--file`` or ``--out`` FIFO with nothing on its
+other end, or a ``--out`` file or stdout that cannot be written (a full
+disk), and 141 (128 + SIGPIPE, what a shell reports for a process
 killed by a closed pipe) when the reader of stdout closes it before all output
 is written.  Exits 1 and 2 write one ``error:`` line to stderr, and no exit
 writes a traceback: the commands print or raise, and ``main`` alone writes
@@ -244,8 +245,18 @@ def _cmd_check_m(args) -> None:
                                        f"the first at (g={strict[0].g}, n={strict[0].n})")
 
 
+def _open(path: str, mode: str):
+    """``open(path, mode)``, new files with its mode 0o666, that does not wait
+    in ``open`` for the other end of a FIFO: one with no writer reads as
+    empty, and one with no reader raises ENXIO."""
+    fh = open(path, mode, encoding="utf-8",
+              opener=lambda p, flags: os.open(p, flags | os.O_NONBLOCK, 0o666))
+    os.set_blocking(fh.fileno(), True)
+    return fh
+
+
 def _cmd_homology(args) -> None:
-    with open(args.file, "r", encoding="utf-8") as fh:
+    with _open(args.file, "r") as fh:
         text = fh.read(MAX_FILE_BYTES + 1)
     if len(text) > MAX_FILE_BYTES:
         raise ValueError(f"--file {args.file} is larger than the file size cap of "
@@ -315,7 +326,7 @@ def _cmd_export_model(args) -> None:
     cw = build(args.g) if takes_genus else build()
     text = cw.to_json()
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with _open(args.out, "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)

@@ -1,10 +1,10 @@
 """The third symmetric product of the circle as a simplex bundle over the circle.
 
-Circle points are angles in [0, 1) taken mod 1 (the angle s stands for
-e^(2*pi*i*s)), so the bundle projection -- the product of the three entries --
-is plain addition of angles.  Angles given as :class:`fractions.Fraction`
-are carried exactly; float angles are handled to machine precision with
-explicit tolerances.
+A circle point is its angle in [0, 1), taken mod 1 (the angle s stands for
+e^(2*pi*i*s)), and a triple is its three angles, sorted; so the bundle
+projection -- the product of the three entries -- is plain addition of
+angles.  Angles given as :class:`fractions.Fraction` are carried exactly;
+float angles are handled to machine precision with explicit tolerances.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import gcd
-from typing import Callable, Iterable
+from typing import Callable
 
 ROUNDTRIP_TOL = 1e-9
 FIBER_TOL = 1e-12
@@ -30,90 +30,57 @@ class FiberError(ValueError):
     """Input triple does not lie on the requested fiber."""
 
 
-# Float angles are tested with ``type(x) is float`` before any
-# ``isinstance(x, Fraction)``: Fraction's ABC instance check costs several
-# times the float arithmetic it guards, and the sampled suite is all floats.
-
-
-def _mod1(x: Angle) -> Angle:
-    if type(x) is not float and isinstance(x, Fraction):
-        return x % 1
-    y = x % 1.0
+def _angle(s: Angle) -> Angle:
+    """The angle s reduced mod 1 into [0, 1).  Ints and bools are promoted to
+    Fraction and Fraction subclasses reduced to Fraction; an exact Fraction
+    already in [0, 1) is returned as the same object."""
+    # floats skip every isinstance test: Fraction's ABC instance check costs
+    # several times the float arithmetic, and the sampled suite is all floats
+    if type(s) is not float:
+        if type(s) is Fraction and 0 <= s.numerator < s.denominator:
+            return s
+        if isinstance(s, int):
+            s = Fraction(s)
+        if isinstance(s, Fraction):
+            return s % 1
+    s = s % 1.0
     # float modulo of a tiny negative can round up to exactly 1.0
-    return 0.0 if y >= 1.0 else y
+    return 0.0 if s >= 1.0 else s
 
 
 def _circle_dist(x: Angle, y: Angle):
-    d = _mod1(x - y)
+    d = _angle(x - y)
     return min(d, 1 - d)
 
 
 @dataclass(frozen=True, slots=True, init=False)
-class CirclePoint:
-    """Angle in [0, 1) representing a point on the unit circle."""
-
-    s: Angle
-
-    def __init__(self, s: Angle):
-        # one store per point: floats and exact Fractions already in [0, 1)
-        # are settled inline; ints, bools and Fraction subclasses take the
-        # general path
-        if type(s) is float:
-            s %= 1.0
-            if s >= 1.0:  # float modulo of a tiny negative can round up to 1.0
-                s = 0.0
-        elif not (type(s) is Fraction and 0 <= s.numerator < s.denominator):
-            if isinstance(s, int):
-                s = Fraction(s)
-            s = _mod1(s)
-        object.__setattr__(self, "s", s)
-
-    @property
-    def is_exact(self) -> bool:
-        s = self.s
-        return type(s) is Fraction or isinstance(s, Fraction)
-
-    def distance_to(self, other: "CirclePoint"):
-        return _circle_dist(self.s, other.s)
-
-
-@dataclass(frozen=True, slots=True, init=False)
 class SymTriple:
-    """Unordered triple of circle points, stored sorted by angle."""
+    """Unordered triple of circle points: ``s`` holds their three angles,
+    reduced mod 1 and sorted."""
 
-    pts: tuple[CirclePoint, CirclePoint, CirclePoint]
+    s: tuple[Angle, Angle, Angle]
 
-    def __init__(self, pts: Iterable[CirclePoint]):
-        pts = tuple(pts)
-        if len(pts) != 3:
-            raise ValueError("a triple needs exactly three points")
-        # insertion sort on strict <: stable, like sorted(key=lambda p: p.s)
-        a, b, c = pts
-        if b.s < a.s:
+    def __init__(self, a: Angle, b: Angle, c: Angle):
+        a, b, c = _angle(a), _angle(b), _angle(c)
+        # insertion sort on strict <: stable, like sorted()
+        if b < a:
             a, b = b, a
-        if c.s < b.s:
+        if c < b:
             b, c = c, b
-            if b.s < a.s:
+            if b < a:
                 a, b = b, a
-        object.__setattr__(self, "pts", (a, b, c))
-
-    @classmethod
-    def from_angles(cls, a: Angle, b: Angle, c: Angle) -> "SymTriple":
-        return cls((CirclePoint(a), CirclePoint(b), CirclePoint(c)))
+        object.__setattr__(self, "s", (a, b, c))
 
     def angles(self) -> tuple[Angle, Angle, Angle]:
-        a, b, c = self.pts
-        return (a.s, b.s, c.s)
+        return self.s
 
     @property
     def is_exact(self) -> bool:
-        a, b, c = self.pts
-        return a.is_exact and b.is_exact and c.is_exact
+        return all(isinstance(s, Fraction) for s in self.s)
 
     def has_repeated_point(self, tol: float = ROUNDTRIP_TOL) -> bool:
         """Whether two of the three points coincide within tol (mod 1)."""
-        p1, p2, p3 = self.pts
-        a, b, c = p1.s, p2.s, p3.s
+        a, b, c = self.s
         return bool(b - a <= tol or c - b <= tol or (a + 1) - c <= tol)
 
 
@@ -128,11 +95,12 @@ class SimplexPoint:
         return (self.d1, self.d2)
 
 
-def theta(tr: SymTriple) -> CirclePoint:
+def theta(tr: SymTriple) -> Angle:
     """Bundle projection: the product of the three circle entries, i.e. the
-    sum of the three angles mod 1.  Independent of the ordering."""
-    a, b, c = tr.pts
-    return CirclePoint(a.s + b.s + c.s)
+    angle that is the sum of the three angles mod 1.  Independent of the
+    ordering."""
+    a, b, c = tr.s
+    return _angle(a + b + c)
 
 
 def t_map(p: SimplexPoint, *, tol: float = ROUNDTRIP_TOL) -> SymTriple:
@@ -150,7 +118,7 @@ def t_map(p: SimplexPoint, *, tol: float = ROUNDTRIP_TOL) -> SymTriple:
         lam = -Fraction(2 * d1 + d2) / 3
     else:
         lam = -(2 * d1 + d2) / 3.0
-    return SymTriple.from_angles(lam, lam + d1, lam + d1 + d2)
+    return SymTriple(lam, lam + d1, lam + d1 + d2)
 
 
 def t_inverse(tr: SymTriple, *, tol: float = FIBER_TOL) -> SimplexPoint:
@@ -164,10 +132,9 @@ def t_inverse(tr: SymTriple, *, tol: float = FIBER_TOL) -> SimplexPoint:
     Raises :class:`FiberError` when the product of the entries is not 1
     within tol.
     """
-    p1, p2, p3 = tr.pts
-    s1, s2, s3 = p1.s, p2.s, p3.s
+    s1, s2, s3 = tr.s
     sigma = s1 + s2 + s3
-    th = _mod1(sigma)  # theta(tr).s, without building the point
+    th = _angle(sigma)  # theta(tr), from the sum that k needs too
     if not (_circle_dist(th, 0) <= tol):  # a nan angle sum fails too
         raise FiberError(f"triple with angle sum {th} is not on the fiber over 1")
     # sigma is exact iff all three angles are, and then so are d1 and d2
@@ -220,13 +187,10 @@ def is_boundary_point(p: SimplexPoint, tol: float = ROUNDTRIP_TOL) -> bool:
 # {(0, 0, m)} of the bundle projection, and the fiber-boundary curve
 # {(v, v, m) : 2v + m = 0 mod 1}.
 
-_ZERO = Fraction(0)
-
 
 def diagonal_curve_point(a: Angle) -> SymTriple:
     """Point (a, a, 0) of the diagonal-direction boundary curve."""
-    zero = _ZERO if type(a) is Fraction or isinstance(a, (int, Fraction)) else 0.0
-    return SymTriple.from_angles(a, a, zero)
+    return SymTriple(a, a, 0 if isinstance(a, (int, Fraction)) else 0.0)
 
 
 def on_section_curve(tr: SymTriple) -> bool:
@@ -367,14 +331,13 @@ def run_property_suite(
     if samples < 1:
         raise ValueError("need at least one sample")
     rng = random.Random(seed)
-    origin = CirclePoint(0.0)
     # every error is a finite float >= 0, so sample 0 sets both maxima
     max_rt = max_fib = -1.0
     mismatches = 0
     for i in range(samples):
         p = _sample_simplex_point(rng, i)
         tr = t_map(p, tol=1e-6)
-        err = theta(tr).distance_to(origin)
+        err = _circle_dist(theta(tr), 0.0)
         if err > max_fib:
             max_fib, worst_fib = err, (i, p)
         # inversion itself runs at a loose tolerance; the measured errors are

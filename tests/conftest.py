@@ -10,7 +10,7 @@ from typing import Callable
 
 import pytest
 
-from msym.fibration import FiberError, SimplexPoint, _circle_dist, _mod1
+from msym.fibration import FiberError, SimplexPoint
 from msym.genfun import GradedPoly
 from msym.homology import BitMatrixF2, ChainComplexF2, boundary_matrix, glue, product
 from msym.realmodels import (
@@ -262,9 +262,9 @@ def reference_betti_sum_sym(g: int, n: int) -> int:
 
 
 def reference_circle_angle(s):
-    """Reference for the angle ``CirclePoint(s)`` stores: ints and bools
-    promoted to Fraction, then the generic reduction mod 1, as the
-    constructor did it before its single-store fast paths."""
+    """Reference for the angle ``SymTriple`` stores for s: ints and bools
+    promoted to Fraction, then the generic reduction mod 1, with no fast
+    path."""
     if type(s) is not float and isinstance(s, int):
         s = Fraction(s)
     if type(s) is not float and isinstance(s, Fraction):
@@ -273,18 +273,22 @@ def reference_circle_angle(s):
     return 0.0 if y >= 1.0 else y
 
 
-def reference_sorted_points(pts):
-    """Reference for ``SymTriple(pts).pts``: the insertion sort on strict <
-    that the triple used before its own constructor, on the same objects."""
-    pts = tuple(pts)
-    if len(pts) != 3:
-        raise ValueError("a triple needs exactly three points")
-    a, b, c = pts
-    if b.s < a.s:
+def reference_circle_dist(x, y):
+    """Reference for the distance of two angles along the circle."""
+    d = reference_circle_angle(x - y)
+    return min(d, 1 - d)
+
+
+def reference_sorted_points(angles):
+    """Reference for ``SymTriple(a, b, c).angles()``: the angles reduced by
+    :func:`reference_circle_angle`, then sorted by insertion on strict <,
+    which keeps ties in input order and places nan as the triple does."""
+    a, b, c = map(reference_circle_angle, angles)
+    if b < a:
         a, b = b, a
-    if c.s < b.s:
+    if c < b:
         b, c = c, b
-        if b.s < a.s:
+        if b < a:
             a, b = b, a
     return (a, b, c)
 
@@ -294,8 +298,8 @@ def reference_t_inverse(tr, *, tol=1e-12):
     lifts of the sorted angles and then indexed the one for k."""
     lift = tr.angles()
     sigma = lift[0] + lift[1] + lift[2]
-    th = _mod1(sigma)  # theta(tr).s, without building the point
-    if not (_circle_dist(th, 0) <= tol):  # a nan angle sum fails too
+    th = reference_circle_angle(sigma)
+    if not (reference_circle_dist(th, 0) <= tol):  # a nan angle sum fails too
         raise FiberError(f"triple with angle sum {th} is not on the fiber over 1")
     # sigma is exact iff all three angles are, and then so are d1 and d2
     exact = type(sigma) is not float and isinstance(sigma, Fraction)

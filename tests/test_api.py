@@ -50,7 +50,7 @@ def test_all_serves_its_readers():
 
 
 def test_retired_fibration_helpers_are_gone():
-    for name in ("local_trivialization", "shift_lift", "unshift_lift"):
+    for name in ("local_trivialization", "shift_lift", "unshift_lift", "CirclePoint"):
         assert not hasattr(msym, name)
         assert not hasattr(msym.fibration, name)
     for name in ("RealLocusDecomposition", "betti_total", "betti_by_piece", "disc", "point"):

@@ -519,6 +519,23 @@ def test_homology_stops_reading_dev_zero_at_the_cap(capsys):
                              f"{MAX_FILE_BYTES} bytes\n")
 
 
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+@pytest.mark.parametrize("argv", [
+    ["homology", "--file"],  # no writer: reads as empty
+    ["export-model", "--name", "sym2circle", "--out"],  # no reader: ENXIO
+], ids=["homology-file", "export-model-out"])
+def test_a_fifo_with_nothing_on_its_other_end_exits_2_at_once(tmp_path, argv):
+    # a plain open waits for the other end forever; the timeout turns that
+    # into a failure instead of a hung suite
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-m", "msym.cli", *argv, str(fifo)],
+                          capture_output=True, text=True, env=env, timeout=20)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: ")
+
+
 def test_homology_file_cap_admits_exactly_its_size(capsys, monkeypatch, tmp_path):
     path = tmp_path / "torus.json"
     text = product(circle(), circle()).to_json()

@@ -12,9 +12,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import msym.fibration as fibration
-from conftest import reference_circle_angle, reference_sorted_points, reference_t_inverse
+from conftest import (
+    reference_circle_angle,
+    reference_circle_dist,
+    reference_sorted_points,
+    reference_t_inverse,
+)
 from msym.fibration import (
-    CirclePoint,
     DomainError,
     FiberError,
     SimplexPoint,
@@ -31,21 +35,18 @@ from msym.fibration import (
     theta,
 )
 
-ORIGIN = CirclePoint(0.0)
-
-
 # --- theta -------------------------------------------------------------------
 
 
 def test_theta_examples():
-    assert theta(SymTriple.from_angles(0, 0, 0)).s == 0
-    assert theta(SymTriple.from_angles(0.25, 0.25, 0.5)).s == 0.0  # i * i * (-1) = 1
-    assert theta(SymTriple.from_angles(Fr(1, 3), Fr(1, 3), Fr(1, 3))).s == 0
+    assert theta(SymTriple(0, 0, 0)) == 0
+    assert theta(SymTriple(0.25, 0.25, 0.5)) == 0.0  # i * i * (-1) = 1
+    assert theta(SymTriple(Fr(1, 3), Fr(1, 3), Fr(1, 3))) == 0
 
 
 def test_theta_order_invariance():
     angles = (0.13, 0.58, 0.91)
-    results = {theta(SymTriple.from_angles(*p)).s for p in permutations(angles)}
+    results = {theta(SymTriple(*p)) for p in permutations(angles)}
     assert len(results) == 1
 
 
@@ -74,7 +75,7 @@ def test_t_map_lands_on_the_fiber():
         if u + v > 1:
             u, v = 1 - u, 1 - v
         tr = t_map(SimplexPoint(u, v))
-        assert theta(tr).distance_to(ORIGIN) < 1e-12
+        assert reference_circle_dist(theta(tr), 0.0) < 1e-12
 
 
 def test_t_map_rejects_points_outside_the_triangle():
@@ -100,14 +101,14 @@ def test_t_map_rejects_nan_naming_it(d1, d2):
 
 
 def test_t_inverse_examples():
-    assert t_inverse(SymTriple.from_angles(0, 0, 0)).as_tuple() == (Fr(0), Fr(0))
-    cube_roots = SymTriple.from_angles(Fr(0), Fr(1, 3), Fr(2, 3))
+    assert t_inverse(SymTriple(0, 0, 0)).as_tuple() == (Fr(0), Fr(0))
+    cube_roots = SymTriple(Fr(0), Fr(1, 3), Fr(2, 3))
     assert t_inverse(cube_roots).as_tuple() == (Fr(1, 3), Fr(1, 3))
 
 
 def test_t_inverse_by_exhaustive_lift_search():
     # oracle: scan the whole shift orbit and keep the lift with sum zero
-    tr = SymTriple.from_angles(Fr(0), Fr(1, 3), Fr(2, 3))
+    tr = SymTriple(Fr(0), Fr(1, 3), Fr(2, 3))
     lift = tr.angles()
     candidates = []
     down = lift
@@ -128,28 +129,28 @@ def test_t_inverse_by_exhaustive_lift_search():
 
 
 def test_t_inverse_roundtrip_on_floats():
-    tr = SymTriple.from_angles(0.9, 0.9, 0.2)
+    tr = SymTriple(0.9, 0.9, 0.2)
     p = t_inverse(tr)
     assert t_map(p).angles() == pytest.approx(tr.angles(), abs=1e-9)
 
 
 def test_t_inverse_order_invariance():
     angles = (0.15, 0.25, 0.6)
-    outs = {t_inverse(SymTriple.from_angles(*p)).as_tuple() for p in permutations(angles)}
+    outs = {t_inverse(SymTriple(*p)).as_tuple() for p in permutations(angles)}
     assert len(outs) == 1
 
 
 def test_t_inverse_rejects_triples_off_the_fiber():
     with pytest.raises(FiberError):
-        t_inverse(SymTriple.from_angles(0.1, 0.2, 0.3))
+        t_inverse(SymTriple(0.1, 0.2, 0.3))
     with pytest.raises(FiberError):
-        t_inverse(SymTriple.from_angles(Fr(1, 4), Fr(1, 4), Fr(1, 4)))
+        t_inverse(SymTriple(Fr(1, 4), Fr(1, 4), Fr(1, 4)))
 
 
 @pytest.mark.parametrize("angles", [(NAN, NAN, NAN), (NAN, 0.1, 0.2)])
 def test_t_inverse_rejects_nan_naming_it(angles):
     with pytest.raises((DomainError, FiberError), match="nan"):
-        t_inverse(SymTriple.from_angles(*angles))
+        t_inverse(SymTriple(*angles))
 
 
 @given(st.floats(0, 1), st.floats(0, 1))
@@ -207,41 +208,46 @@ def _exact(values):
     return values
 
 
+def _stored(s):
+    """The angle a triple stores for s."""
+    return SymTriple(s, s, s).angles()[0]
+
+
 def test_exact_inputs_give_fraction_angles():
     # values frozen from the implementation before the float fast paths
-    assert _exact((CirclePoint(3).s, CirclePoint(-2).s, CirclePoint(True).s)) == (0, 0, 0)
-    assert _exact((CirclePoint(Fr(7, 3)).s, CirclePoint(FrSub(-1, 4)).s)) == (Fr(1, 3), Fr(3, 4))
+    assert _exact((_stored(3), _stored(-2), _stored(True))) == (0, 0, 0)
+    assert _exact((_stored(Fr(7, 3)), _stored(FrSub(-1, 4)))) == (Fr(1, 3), Fr(3, 4))
     assert _exact(t_map(SimplexPoint(1, 0)).angles()) == (Fr(1, 3),) * 3
     assert _exact(t_map(SimplexPoint(0, 1)).angles()) == (Fr(2, 3),) * 3
     for d1, d2 in [(Fr(1, 5), Fr(2, 7)), (FrSub(1, 5), FrSub(2, 7))]:
         assert _exact(t_map(SimplexPoint(d1, d2)).angles()) == (Fr(9, 35), Fr(27, 35), Fr(34, 35))
     assert _exact(t_map(SimplexPoint(FrSub(1, 2), 0)).angles()) == (Fr(1, 6), Fr(1, 6), Fr(2, 3))
-    assert _exact(t_inverse(SymTriple.from_angles(0, 1, 2)).as_tuple()) == (0, 0)
-    sub_triple = SymTriple.from_angles(FrSub(1, 5), FrSub(2, 5), FrSub(2, 5))
+    assert _exact(t_inverse(SymTriple(0, 1, 2)).as_tuple()) == (0, 0)
+    sub_triple = SymTriple(FrSub(1, 5), FrSub(2, 5), FrSub(2, 5))
     assert _exact(t_inverse(sub_triple).as_tuple()) == (Fr(4, 5), Fr(1, 5))
-    mixed = SymTriple.from_angles(Fr(5, 6), Fr(1, 2), Fr(2, 3))
+    mixed = SymTriple(Fr(5, 6), Fr(1, 2), Fr(2, 3))
     assert _exact(t_inverse(mixed).as_tuple()) == (Fr(1, 6), Fr(2, 3))
-    assert _exact((theta(SymTriple.from_angles(1, FrSub(1, 4), Fr(1, 2))).s,)) == (Fr(3, 4),)
-    assert _exact((theta(SymTriple.from_angles(2, 3, 5)).s,)) == (0,)
-    sub_sum = theta(SymTriple.from_angles(FrSub(2, 3), FrSub(2, 3), FrSub(1, 2))).s
+    assert _exact((theta(SymTriple(1, FrSub(1, 4), Fr(1, 2))),)) == (Fr(3, 4),)
+    assert _exact((theta(SymTriple(2, 3, 5)),)) == (0,)
+    sub_sum = theta(SymTriple(FrSub(2, 3), FrSub(2, 3), FrSub(1, 2)))
     assert _exact((sub_sum,)) == (Fr(5, 6),)
 
 
 def test_tiny_negative_float_wraps_to_zero():
-    assert -1e-18 % 1.0 == 1.0  # what the guard in _mod1 is for
-    s = CirclePoint(-1e-18).s
+    assert -1e-18 % 1.0 == 1.0  # what the guard in _angle is for
+    s = _stored(-1e-18)
     assert s == 0.0 and type(s) is float
 
 
 def test_triple_sort_is_stable_on_ties():
     # equal angles of different types keep their input order, as sorted() does
     def types(*angles):
-        return [type(s) for s in SymTriple.from_angles(*angles).angles()]
+        return [type(s) for s in SymTriple(*angles).angles()]
 
     assert types(Fr(1, 2), 0.5, 0.1) == [float, Fr, float]
     assert types(0.5, Fr(1, 2), 0.1) == [float, float, Fr]
     for p in permutations((0.7, 0.2, 0.4)):
-        assert SymTriple.from_angles(*p).angles() == (0.2, 0.4, 0.7)
+        assert SymTriple(*p).angles() == (0.2, 0.4, 0.7)
 
 
 def _outcome(fn, *args):
@@ -263,18 +269,18 @@ CIRCLE_INPUTS = [
 
 
 @pytest.mark.parametrize("s", CIRCLE_INPUTS, ids=repr)
-def test_circle_point_matches_the_reference_reduction(s):
-    assert _outcome(lambda x: CirclePoint(x).s, s) == _outcome(reference_circle_angle, s)
+def test_stored_angle_matches_the_reference_reduction(s):
+    want = _outcome(reference_circle_angle, s)
+    assert _outcome(_stored, s) == want
+    assert _outcome(lambda x: theta(SymTriple(x, 0, 0)), s) == want
 
 
-def test_circle_point_keeps_an_exact_angle_in_range_and_stays_frozen():
+def test_triple_keeps_an_exact_angle_in_range_and_stays_frozen():
     half = Fr(1, 2)
-    assert CirclePoint(half).s is half
-    p = CirclePoint(0.25)
-    assert p == CirclePoint(1.25) and hash(p) == hash(CirclePoint(1.25))
-    assert replace(p, s=-0.5) == CirclePoint(0.5)
+    assert all(s is half for s in SymTriple(half, half, half).angles())
+    tr = SymTriple(0.25, 0.5, 0.75)
     with pytest.raises(FrozenInstanceError):
-        p.s = 0.5
+        tr.s = (0.5, 0.5, 0.5)
 
 
 TRIPLE_INPUTS = [
@@ -285,29 +291,34 @@ TRIPLE_INPUTS = [
 
 
 @pytest.mark.parametrize("angles", TRIPLE_INPUTS, ids=repr)
-def test_from_angles_matches_the_reference(angles):
-    want = reference_sorted_points(CirclePoint(a) for a in angles)
-    got = SymTriple.from_angles(*angles).angles()
-    assert [(type(s), repr(s)) for s in got] == [(type(p.s), repr(p.s)) for p in want]
+def test_triple_matches_the_reference(angles):
+    want = reference_sorted_points(angles)
+    got = SymTriple(*angles).angles()
+    assert [(type(s), repr(s)) for s in got] == [(type(s), repr(s)) for s in want]
 
 
 @pytest.mark.parametrize("wrap", [tuple, list, iter], ids=["tuple", "list", "one-shot"])
 def test_triple_keeps_the_reference_order_of_its_points(wrap):
     for angles in TRIPLE_INPUTS:
-        pts = tuple(CirclePoint(a) for a in angles)
-        got = SymTriple(wrap(pts)).pts
+        got = SymTriple(*wrap(angles)).angles()
+        want = reference_sorted_points(wrap(angles))
         assert len(got) == 3
-        assert all(g is w for g, w in zip(got, reference_sorted_points(pts))), angles
+        assert [(type(s), repr(s)) for s in got] == [(type(s), repr(s)) for s in want], angles
+        # an exact angle already in range is stored as the input object itself
+        kept = [a for a in angles if type(a) is Fr and 0 <= a < 1]
+        assert all(any(s is a for s in got) for a in kept), angles
 
 
 @pytest.mark.parametrize("make", [
-    lambda: (), lambda: [CirclePoint(0.1)] * 2, lambda: [CirclePoint(0.1)] * 4,
-    lambda: iter([CirclePoint(0.2)] * 4), lambda: 5,
+    lambda: (), lambda: [0.1] * 2, lambda: [0.1] * 4,
+    lambda: iter([0.2] * 4), lambda: 5,
 ], ids=["empty", "two", "four", "one-shot-four", "not-iterable"])
 def test_triple_rejects_what_the_reference_rejects(make):
-    expected = _outcome(reference_sorted_points, make())
-    assert expected[0] == "raises"
-    assert _outcome(SymTriple, make()) == expected
+    # a triple takes exactly three angles; Python's own TypeError rejects
+    # any other count, and anything that cannot be unpacked at all
+    assert _outcome(reference_sorted_points, make())[0] == "raises"
+    with pytest.raises(TypeError):
+        SymTriple(*make())
 
 
 def _inverse_outcome(fn, tr, tol):
@@ -333,7 +344,7 @@ _NEAR_WRAP = st.one_of(st.floats(0, 1e-9), st.floats(1 - 1e-9, 1, exclude_max=Tr
 def test_t_inverse_matches_the_reference_near_the_wrap(a, b, offset):
     # the third angle brings the sum to offset mod 1: on the fiber within one
     # tolerance or both, or off it, where both must raise the same error
-    _assert_inverse_matches_the_reference(SymTriple.from_angles(a, b, (offset - a - b) % 1.0))
+    _assert_inverse_matches_the_reference(SymTriple(a, b, (offset - a - b) % 1.0))
 
 
 _FRACTIONS = st.fractions(min_value=-2, max_value=2, max_denominator=60)
@@ -341,8 +352,8 @@ _FRACTIONS = st.fractions(min_value=-2, max_value=2, max_denominator=60)
 
 @given(_FRACTIONS, _FRACTIONS, _FRACTIONS)
 def test_t_inverse_matches_the_reference_on_exact_triples(a, b, c):
-    _assert_inverse_matches_the_reference(SymTriple.from_angles(a, b, -a - b))
-    _assert_inverse_matches_the_reference(SymTriple.from_angles(a, b, c))
+    _assert_inverse_matches_the_reference(SymTriple(a, b, -a - b))
+    _assert_inverse_matches_the_reference(SymTriple(a, b, c))
     d1, d2 = a % 1, b % 1
     if d1 + d2 <= 1:
         _assert_inverse_matches_the_reference(t_map(SimplexPoint(d1, d2)))
@@ -355,7 +366,7 @@ def test_t_inverse_matches_the_reference_on_exact_triples(a, b, c):
     ((0.0, 0.0, 1 - 1e-13), 1), ((0.5, 0.5, 1 - 1e-13), 2),
 ], ids=repr)
 def test_t_inverse_matches_the_reference_in_every_lift(angles, k):
-    tr = SymTriple.from_angles(*angles)
+    tr = SymTriple(*angles)
     assert round(sum(tr.angles())) == k
     _assert_inverse_matches_the_reference(tr)
 
@@ -365,7 +376,7 @@ def test_t_inverse_matches_the_reference_in_every_lift(angles, k):
     (float("inf"), 0.0, 0.0), (0.5, 0.5, 1e-5),
 ], ids=repr)
 def test_t_inverse_fails_like_the_reference_off_the_fiber(angles):
-    tr = SymTriple.from_angles(*angles)
+    tr = SymTriple(*angles)
     for tol in (1e-12, 1e-6):
         got = _inverse_outcome(t_inverse, tr, tol)
         assert got[0] == "raises" and got[1] in (FiberError, DomainError)
@@ -374,13 +385,8 @@ def test_t_inverse_fails_like_the_reference_off_the_fiber(angles):
 
 def _unchecked_triple(*angles):
     """A triple whose stored angles skip the reduction mod 1."""
-    pts = []
-    for a in angles:
-        p = object.__new__(CirclePoint)
-        object.__setattr__(p, "s", a)
-        pts.append(p)
     tr = object.__new__(SymTriple)
-    object.__setattr__(tr, "pts", tuple(pts))
+    object.__setattr__(tr, "s", angles)
     return tr
 
 
@@ -411,7 +417,7 @@ def test_curve_membership_predicates():
 
 def test_membership_requires_exact_angles():
     with pytest.raises(ValueError, match="exact"):
-        on_section_curve(SymTriple.from_angles(0.0, 0.0, 0.5))
+        on_section_curve(SymTriple(0.0, 0.0, 0.5))
 
 
 def test_intersection_counts():
@@ -543,7 +549,7 @@ def test_worst_points_have_the_reported_errors():
     q = t_inverse(t_map(p, tol=1e-6), tol=1e-6)
     assert max(abs(q.d1 - p.d1), abs(q.d2 - p.d2)) == report.max_roundtrip_error
     p = SimplexPoint(*report.worst_fiber[1])
-    assert theta(t_map(p, tol=1e-6)).distance_to(ORIGIN) == report.max_fiber_error
+    assert reference_circle_dist(theta(t_map(p, tol=1e-6)), 0.0) == report.max_fiber_error
 
 
 def test_property_suite_rejects_empty_runs():
