@@ -125,8 +125,8 @@ MAX_SWEEP_GENUS = 400
 # 37 MiB (Python 3.11.7, one core of a 2-core Intel Xeon).
 MAX_SWEEP_ROWS = 20_000
 # The --samples cap of verify-fibration, whose time is linear in --samples:
-# at the cap it takes 7.1-8.2 s and 17 MiB (Python 3.11.7, one core of a
-# 2-core Intel Xeon), about as long as the largest sweep.
+# at the cap it takes 3.3-5.5 s and 17 MiB (Python 3.11.7, one core of a
+# 2-core Intel Xeon), a little less than the largest sweep.
 MAX_SAMPLES = 1_000_000
 # The cap on what homology --file reads, in characters (bytes for the ASCII
 # that export-model writes); one more is read, so /dev/zero is refused at once.

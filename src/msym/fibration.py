@@ -48,11 +48,6 @@ def _angle(s: Angle) -> Angle:
     return 0.0 if s >= 1.0 else s
 
 
-def _circle_dist(x: Angle, y: Angle):
-    d = _angle(x - y)
-    return min(d, 1 - d)
-
-
 @dataclass(frozen=True, slots=True, init=False)
 class SymTriple:
     """Unordered triple of circle points: ``s`` holds their three angles,
@@ -76,7 +71,8 @@ class SymTriple:
 
     @property
     def is_exact(self) -> bool:
-        return all(isinstance(s, Fraction) for s in self.s)
+        a, b, c = self.s  # __init__ stores floats and exact Fractions only
+        return type(a) is Fraction and type(b) is Fraction and type(c) is Fraction
 
     def has_repeated_point(self, tol: float = ROUNDTRIP_TOL) -> bool:
         """Whether two of the three points coincide within tol (mod 1)."""
@@ -129,13 +125,13 @@ def t_inverse(tr: SymTriple, *, tol: float = FIBER_TOL) -> SimplexPoint:
     has angle sum 0; the result is (s2 - s1, s3 - s2) for that lift.  The
     sorted angles lie in [0, 1), so their sum is near an integer k in 0..3,
     and that lift is k unshifts (s1, s2, s3) -> (s3 - 1, s1, s2) away.
-    Raises :class:`FiberError` when the product of the entries is not 1
-    within tol.
+    Raises :class:`FiberError` unless the angle sum is within tol of an
+    integer, that is, unless th <= tol or 1 - th <= tol for th = sum mod 1.
     """
     s1, s2, s3 = tr.s
     sigma = s1 + s2 + s3
     th = _angle(sigma)  # theta(tr), from the sum that k needs too
-    if not (_circle_dist(th, 0) <= tol):  # a nan angle sum fails too
+    if not (th <= tol or 1 - th <= tol):  # th is in [0, 1); a nan sum fails too
         raise FiberError(f"triple with angle sum {th} is not on the fiber over 1")
     # sigma is exact iff all three angles are, and then so are d1 and d2
     exact = type(sigma) is not float and isinstance(sigma, Fraction)
@@ -194,24 +190,25 @@ def diagonal_curve_point(a: Angle) -> SymTriple:
 
 
 def on_section_curve(tr: SymTriple) -> bool:
-    """Exact membership in {(0, 0, m)}: at least two angles equal to 0."""
+    """Exact membership in {(0, 0, m)}: at least two angles equal to 0.  The
+    angles are sorted in [0, 1), so that holds iff the middle one is 0."""
     if not tr.is_exact:
         raise ValueError("curve membership is decided on exact (Fraction) angles only")
-    zeros = sum(1 for s in tr.angles() if s == 0)
-    return zeros >= 2
+    return tr.s[1].numerator == 0
 
 
 def on_fiber_boundary_curve(tr: SymTriple) -> bool:
-    """Exact membership in {(v, v, m) : 2v + m = 0 mod 1}."""
+    """Exact membership in {(v, v, m) : 2v + m = 0 mod 1}, decided on the
+    numerators and denominators: for v = p/q and m = r/s, 2v + m is an
+    integer iff q*s divides 2*p*s + r*q."""
     if not tr.is_exact:
         raise ValueError("curve membership is decided on exact (Fraction) angles only")
-    a, b, c = tr.angles()
-    candidates = []
-    if a == b:
-        candidates.append((a, c))
-    if b == c:
-        candidates.append((b, a))
-    return any((2 * v + m).denominator == 1 for v, m in candidates)
+    a, v, c = tr.s  # sorted, (v, v, m) has v in the middle and m at an end
+    if v != c and v != a:
+        return False
+    m = a if v == c else c
+    q, s = v.denominator, m.denominator
+    return (2 * v.numerator * s + m.numerator * q) % (q * s) == 0
 
 
 _SEARCH_DENOMINATOR = 24  # the largest q of the angles a = k/q the curve searches try
@@ -337,7 +334,8 @@ def run_property_suite(
     for i in range(samples):
         p = _sample_simplex_point(rng, i)
         tr = t_map(p, tol=1e-6)
-        err = _circle_dist(theta(tr), 0.0)
+        th = theta(tr)  # in [0, 1): its distance to 0 is th or 1 - th, the nearer
+        err = th if th <= 0.5 else 1 - th
         if err > max_fib:
             max_fib, worst_fib = err, (i, p)
         # inversion itself runs at a loose tolerance; the measured errors are

@@ -329,6 +329,31 @@ def reference_t_inverse(tr, *, tol=1e-12):
     return SimplexPoint(d1, d2)
 
 
+def _reference_exact_angles(tr):
+    angles = tr.angles()
+    if not all(isinstance(s, Fraction) for s in angles):
+        raise ValueError("curve membership is decided on exact (Fraction) angles only")
+    return angles
+
+
+def reference_on_section_curve(tr) -> bool:
+    """Reference for ``on_section_curve`` in Fraction arithmetic: at least
+    two of the angles equal 0."""
+    return sum(1 for s in _reference_exact_angles(tr) if s == 0) >= 2
+
+
+def reference_on_fiber_boundary_curve(tr) -> bool:
+    """Reference for ``on_fiber_boundary_curve`` in Fraction arithmetic: two
+    equal angles v, and 2v + m an integer for the third angle m."""
+    a, b, c = _reference_exact_angles(tr)
+    candidates = []
+    if a == b:
+        candidates.append((a, c))
+    if b == c:
+        candidates.append((b, a))
+    return any((2 * v + m).denominator == 1 for v, m in candidates)
+
+
 @pytest.fixture(scope="session")
 def zoo() -> dict[str, ChainComplexF2]:
     return {

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction as Fr
-from itertools import permutations
+from itertools import combinations_with_replacement, permutations
 
 import pytest
 from hypothesis import given
@@ -15,6 +15,8 @@ import msym.fibration as fibration
 from conftest import (
     reference_circle_angle,
     reference_circle_dist,
+    reference_on_fiber_boundary_curve,
+    reference_on_section_curve,
     reference_sorted_points,
     reference_t_inverse,
 )
@@ -165,6 +167,21 @@ def test_roundtrip_property(u, v):
 def test_roundtrip_at_the_corners():
     for d1, d2 in [(Fr(0), Fr(0)), (Fr(1), Fr(0)), (Fr(0), Fr(1))]:
         assert t_inverse(t_map(SimplexPoint(d1, d2))).as_tuple() == (d1, d2)
+
+
+# every (i/q, j/q) with q <= 16 and i + j <= q, each point once
+RATIONAL_GRID = sorted({(Fr(i, q), Fr(j, q))
+                        for q in range(1, 17) for i in range(q + 1) for j in range(q + 1 - i)})
+
+
+def test_exact_roundtrip_on_a_rational_grid():
+    assert len(RATIONAL_GRID) == 733
+    for d1, d2 in RATIONAL_GRID:
+        p = SimplexPoint(d1, d2)
+        tr = t_map(p)
+        assert tr.is_exact and theta(tr) == 0, p
+        assert _exact(t_inverse(tr).as_tuple()) == (d1, d2)
+        assert is_boundary_point(p, 0) == tr.has_repeated_point(0), p
 
 
 # --- boundary characterization ------------------------------------------------------
@@ -371,6 +388,50 @@ def test_t_inverse_matches_the_reference_in_every_lift(angles, k):
     _assert_inverse_matches_the_reference(tr)
 
 
+def _edge_triples(tol):
+    """Exact angle triples whose sum is k + off for an integer k and an off
+    of 0, +-tol, or just inside or past +-tol; the offset is spread over the
+    three angles of a triple with sum k, kept where all three lie in [0, 1).
+    (1, 1, 1) serves the k = 3 lift, reached by negative offsets only."""
+    t, step = Fr(tol), Fr(tol) / 2 ** 20
+    bases = ((0, 0, 0), (Fr(1, 4), Fr(1, 4), Fr(1, 2)), (Fr(1, 2), Fr(3, 4), Fr(3, 4)), (1, 1, 1))
+    out = []
+    for off in (0, t - step, t, t + step, -t + step, -t, -t - step):
+        for a, b, c in bases:
+            angles = (a + off / 4, b + off / 4, c + off / 2)
+            if all(0 <= s < 1 for s in angles):
+                out.append((a + b + c, off, angles))
+    return out
+
+
+def test_t_inverse_matches_the_reference_at_the_edge_of_the_fiber():
+    tol = 2.0 ** -30  # a power of two, so every float below is exact
+    seen = set()
+    for k, off, angles in _edge_triples(tol):
+        floats = tuple(map(float, angles))
+        assert tuple(map(Fr, floats)) == angles
+        for tr in (SymTriple(*angles), SymTriple(*floats)):
+            s1, s2, s3 = tr.angles()
+            assert s1 + s2 + s3 == k + off  # exact in floats too
+            got = _inverse_outcome(t_inverse, tr, tol)
+            assert got == _inverse_outcome(reference_t_inverse, tr, tol), angles
+            if not tr.is_exact:
+                # within tol of an integer is on the fiber, past it is not
+                assert (got[0] == "raises") == (abs(off) > tol), angles
+            seen.add((k, got[0] == "raises"))
+    # both answers in the k = 0 and k = 3 lifts, and accepted in every lift
+    assert {(0, False), (0, True), (3, False), (3, True), (1, False), (2, False)} <= seen
+    for _, _, angles in _edge_triples(1e-12):  # a tol no float hits exactly
+        tr = SymTriple(*angles)
+        for t in (1e-12, 1e-6):
+            assert _inverse_outcome(t_inverse, tr, t) == _inverse_outcome(reference_t_inverse, tr, t)
+    for angles in ((NAN, 0.25, 0.75), (0.25, 0.75, NAN), (Fr(1, 4), NAN, Fr(3, 4))):
+        tr = SymTriple(*angles)
+        got = _inverse_outcome(t_inverse, tr, tol)
+        assert got[:2] == ("raises", FiberError) and "nan" in got[2]
+        assert got == _inverse_outcome(reference_t_inverse, tr, tol)
+
+
 @pytest.mark.parametrize("angles", [
     (0.1, 0.2, 0.3), (Fr(1, 4), Fr(1, 4), Fr(1, 4)), (NAN, NAN, NAN), (NAN, 0.1, 0.2),
     (float("inf"), 0.0, 0.0), (0.5, 0.5, 1e-5),
@@ -418,6 +479,39 @@ def test_curve_membership_predicates():
 def test_membership_requires_exact_angles():
     with pytest.raises(ValueError, match="exact"):
         on_section_curve(SymTriple(0.0, 0.0, 0.5))
+
+
+# every angle k/q in [0, 1) with q <= 12, each once
+SMALL_DENOMINATOR_ANGLES = sorted({Fr(k, q) for q in range(1, 13) for k in range(q)})
+
+
+@pytest.mark.parametrize("predicate,reference", [
+    (on_section_curve, reference_on_section_curve),
+    (on_fiber_boundary_curve, reference_on_fiber_boundary_curve),
+], ids=["section", "fiber_boundary"])
+def test_curve_predicates_match_fraction_arithmetic(predicate, reference):
+    triples = [SymTriple(*t) for t in combinations_with_replacement(SMALL_DENOMINATOR_ANGLES, 3)]
+    assert len(triples) == 17_296
+    got = [predicate(tr) for tr in triples]
+    assert [tr for tr, hit in zip(triples, got) if hit != reference(tr)] == []
+    assert 0 < sum(got) < len(triples)
+
+
+def test_curve_predicates_on_subclass_and_mixed_triples():
+    # Fraction subclasses and ints are stored as exact Fractions
+    for tr in (SymTriple(FrSub(1, 2), FrSub(1, 2), FrSub(0)), SymTriple(Fr(1, 2), True, FrSub(3, 2))):
+        assert tr.is_exact
+        assert on_fiber_boundary_curve(tr) and not on_section_curve(tr)
+    # one float angle, first, second or third once sorted, makes a triple inexact
+    mixed = [SymTriple(Fr(1, 2), Fr(1, 2), 0.0), SymTriple(Fr(0), 0.0, Fr(1, 2)),
+             SymTriple(Fr(0), Fr(0), 0.5)]
+    assert [[type(s) for s in tr.angles()].index(float) for tr in mixed] == [0, 1, 2]
+    for tr in (*mixed, SymTriple(0.0, 0.0, 0.5)):
+        assert not tr.is_exact
+        for predicate in (on_section_curve, on_fiber_boundary_curve,
+                          reference_on_section_curve, reference_on_fiber_boundary_curve):
+            with pytest.raises(ValueError, match="exact"):
+                predicate(tr)
 
 
 def test_intersection_counts():
