@@ -159,6 +159,15 @@ def test_product_label_collision_rejected():
         product(disc(), disc())
 
 
+def test_product_rejects_a_repeated_cell_id():
+    # "p" * "q*r" and "p*q" * "r" both make "p*q*r"
+    a = ChainComplexF2({0: ["p", "p*q"]}, {})
+    b = ChainComplexF2({0: ["q*r", "r"]}, {})
+    with pytest.raises(InvalidComplexError) as exc:
+        product(a, b)
+    assert str(exc.value) == 'duplicate cell id "p*q*r"'
+
+
 # --- gluing -------------------------------------------------------------------
 
 
