@@ -109,20 +109,20 @@ _TOO_LONG = f": the Betti sum has more than {MAX_ANSWER_DIGITS} decimal digits, 
 # half surface: check-m with n = 2, 3 (single checks and --gmax of a sweep),
 # real-betti and export-model half|Y|B.  Model size is linear in g, and the
 # answer is a cubic in g, so the size rule does not bound it.  At the cap,
-# check-m --n 3 takes about 0.75-1.1 s and 188 MiB (Python 3.11.7, one core
+# check-m --n 3 takes about 0.8-0.9 s and 178 MiB (Python 3.11.7, one core
 # of a 2-core Intel Xeon); a seven-digit --g would need gigabytes.
 MAX_MODEL_GENUS = 10_000
 # The --gmax cap of check-m --sweep.  A sweep checks n = 2 and 3 on a model
 # at every genus up to --gmax, so its time grows with the square of --gmax:
-# --sweep --gmax 400 --nmax 3 takes about 9-10 s (Python 3.11.7, one core of
-# a 2-core Intel Xeon), where the model cap alone would admit hours.
+# --sweep --gmax 400 --nmax 3 takes about 4-7 s (same host, whose speed
+# varies by up to 1.5x), where the model cap alone would admit hours.
 MAX_SWEEP_GENUS = 400
 # The row cap of check-m --sweep: (--gmax + 1) * (--nmax - 1) rows at most.
 # Each row beyond n = 3 costs O(min(2g, n)) big-int work plus its output
 # line, so --nmax alone could make a sweep at a small --gmax run for minutes
 # (--gmax 100 --nmax 800, 80,699 rows, took 5.2 s and 193 MiB).  At the cap,
-# --gmax 400 --nmax 50 takes about 1.1x as long as --gmax 400 --nmax 3 and
-# 37 MiB (Python 3.11.7, one core of a 2-core Intel Xeon).
+# --gmax 400 --nmax 50 takes about 1.1-1.2x as long as --gmax 400 --nmax 3
+# and 37 MiB (same host).
 MAX_SWEEP_ROWS = 20_000
 # The --samples cap of verify-fibration, whose time is linear in --samples:
 # at the cap it takes 3.3-5.5 s and 17 MiB (Python 3.11.7, one core of a
@@ -131,7 +131,7 @@ MAX_SAMPLES = 1_000_000
 # The cap on what homology --file reads, in characters (bytes for the ASCII
 # that export-model writes); one more is read, so /dev/zero is refused at once.
 # export-model --name B --g 10000 writes 10,669,843 bytes, which homology reads
-# and ranks in about 1.1 s and 193 MiB (same host).
+# and ranks in about 0.8-1.1 s and 190 MiB (same host).
 MAX_FILE_BYTES = 32 * 2**20
 
 

@@ -109,11 +109,11 @@ class BitMatrixF2(object):
 class ChainComplexF2(object):
     """Immutable finite chain complex over GF(2) with labeled subcomplexes, built
     from ``int`` dimensions and ``str`` cell ids taken as given; of several faults,
-    the first in input order is reported.  Stored: ``_cells[d]``, the d-cell ids;
-    ``_index[d]``, d-cell id -> position; ``_faces[d][i]``, the face positions
-    of the i-th d-cell; ``_labels``, name -> set of (dimension, position) pairs."""
+    the first in input order is reported.  Stored, and nothing derived from them:
+    ``_cells[d]``, the d-cell ids; ``_faces[d][i]``, the face positions of the
+    i-th d-cell; ``_labels``, name -> set of (dimension, position) pairs."""
 
-    __slots__ = ("_cells", "_index", "_faces", "_labels")
+    __slots__ = ("_cells", "_faces", "_labels")
 
     def __init__(
         self,
@@ -129,7 +129,7 @@ class ChainComplexF2(object):
             by_dim[d] = tuple(ids)
         top = max((d for d, ids in by_dim.items() if ids), default=-1)
         dims = self._set_cells(tuple(by_dim.get(d, ()) for d in range(top + 1)))
-        index = self._index
+        index = [dict(zip(ids, range(len(ids)))) for ids in self._cells]  # d-cell id -> position
         # lookups[d] finds a position among the (d - 1)-cells, or None; there are none for d = 0
         lookups = [{}.get] + [ix.get for ix in index]
         faces = [[frozenset()] * len(ids) for ids in self._cells]
@@ -166,8 +166,8 @@ class ChainComplexF2(object):
             self._labels[name] = label
 
     def _set_cells(self, cells: tuple[tuple[str, ...], ...]) -> dict[str, int]:
-        """Store and index the cell ids, and return each id's dimension; raise
-        on the first empty or repeated id."""
+        """Store the cell ids, and return each id's dimension; raise on the
+        first empty or repeated id."""
         dims: dict[str, int] = {}
         for d, ids in enumerate(cells):
             dims.update(zip(ids, repeat(d)))
@@ -176,7 +176,6 @@ class ChainComplexF2(object):
             cid = next(c for c in chain.from_iterable(cells) if not c or c in seen or seen.add(c))
             raise InvalidComplexError(f'duplicate cell id "{cid}"' if cid else "empty cell identifier")
         self._cells = cells
-        self._index = tuple(dict(zip(ids, range(len(ids)))) for ids in cells)
         return dims
 
     @classmethod
@@ -203,9 +202,9 @@ class ChainComplexF2(object):
         return len(self.cells_of(dim))
 
     def boundary_of(self, cid: str) -> frozenset[str]:
-        for d, ix in enumerate(self._index):
-            if cid in ix:  # a 0-cell has no faces to look up
-                return frozenset(map(self._cells[d - 1].__getitem__, self._faces[d][ix[cid]]))
+        for d, ids in enumerate(self._cells):
+            if cid in ids:  # a 0-cell has no faces to look up
+                return frozenset(map(self._cells[d - 1].__getitem__, self._faces[d][ids.index(cid)]))
         raise KeyError(cid)
 
     @property
@@ -363,7 +362,7 @@ def euler_char(c: ChainComplexF2) -> int:
 
 def is_nullhomologous(c: ChainComplexF2, dim: int, chain: Iterable[str]) -> bool:
     """Whether a cycle (set of dim-cells with zero mod-2 boundary) bounds."""
-    index, members = c._index[dim] if 0 <= dim <= c.dim else {}, []
+    index, members = {cid: i for i, cid in enumerate(c.cells_of(dim))}, []
     for cid in dict.fromkeys(chain):
         if cid not in index:
             raise ValueError(f'"{cid}" is not a {dim}-cell of the complex')
@@ -378,9 +377,9 @@ def is_nullhomologous(c: ChainComplexF2, dim: int, chain: Iterable[str]) -> bool
 
 def label_subcomplex(c: ChainComplexF2, name: str) -> ChainComplexF2:
     """The labeled subcomplex as a standalone complex (labels are dropped)."""
-    members = c.label(name)
-    cells = {d: [cid for cid in ids if cid in members] for d, ids in enumerate(c._cells)}
-    return ChainComplexF2(cells, {cid: c.boundary_of(cid) for cid in sorted(members)})
+    label, cells = c._labels[name], c._cells
+    sub = {d: [cid for i, cid in enumerate(ids) if (d, i) in label] for d, ids in enumerate(cells)}
+    return ChainComplexF2(sub, {cells[d][i]: [cells[d - 1][f] for f in c._faces[d][i]] for d, i in label})
 
 
 def product(a: ChainComplexF2, b: ChainComplexF2) -> ChainComplexF2:
@@ -413,8 +412,9 @@ def product(a: ChainComplexF2, b: ChainComplexF2) -> ChainComplexF2:
     def lift(xs: Iterable[tuple[int, int]], ys: Iterable[tuple[int, int]]) -> frozenset:
         return frozenset((da + db, start[da, db] + i * nb[db] + j) for da, i in xs for db, j in ys)
 
-    every_a = [(d, i) for d, xs in enumerate(a._cells) for i in range(len(xs))]
-    every_b = [(d, j) for d, ys in enumerate(b._cells) for j in range(len(ys))]
+    # every cell of one factor, needed only to lift the labels of the other
+    every_a = [(d, i) for d, xs in enumerate(a._cells) for i in range(len(xs))] if b._labels else ()
+    every_b = [(d, j) for d, ys in enumerate(b._cells) for j in range(len(ys))] if a._labels else ()
     labels = {name: lift(label, every_b) for name, label in a._labels.items()}
     labels.update((name, lift(every_a, label)) for name, label in b._labels.items())
     return ChainComplexF2._from_positions(tuple(map(tuple, cells)), tuple(map(tuple, faces)), labels)
