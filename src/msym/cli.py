@@ -31,6 +31,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import gc
 import json
 import math
 import os
@@ -109,19 +110,19 @@ _TOO_LONG = f": the Betti sum has more than {MAX_ANSWER_DIGITS} decimal digits, 
 # half surface: check-m with n = 2, 3 (single checks and --gmax of a sweep),
 # real-betti and export-model half|Y|B.  Model size is linear in g, and the
 # answer is a cubic in g, so the size rule does not bound it.  At the cap,
-# check-m --n 3 takes about 0.8-0.9 s and 178 MiB (Python 3.11.7, one core
+# check-m --n 3 takes about 0.6-0.7 s and 150 MiB (Python 3.11.7, one core
 # of a 2-core Intel Xeon); a seven-digit --g would need gigabytes.
 MAX_MODEL_GENUS = 10_000
 # The --gmax cap of check-m --sweep.  A sweep checks n = 2 and 3 on a model
 # at every genus up to --gmax, so its time grows with the square of --gmax:
-# --sweep --gmax 400 --nmax 3 takes about 4-7 s (same host, whose speed
+# --sweep --gmax 400 --nmax 3 takes about 4-5 s (same host, whose speed
 # varies by up to 1.5x), where the model cap alone would admit hours.
 MAX_SWEEP_GENUS = 400
 # The row cap of check-m --sweep: (--gmax + 1) * (--nmax - 1) rows at most.
 # Each row beyond n = 3 costs O(min(2g, n)) big-int work plus its output
 # line, so --nmax alone could make a sweep at a small --gmax run for minutes
 # (--gmax 100 --nmax 800, 80,699 rows, took 5.2 s and 193 MiB).  At the cap,
-# --gmax 400 --nmax 50 takes about 1.1-1.2x as long as --gmax 400 --nmax 3
+# --gmax 400 --nmax 50 takes about 1.0-1.2x as long as --gmax 400 --nmax 3
 # and 37 MiB (same host).
 MAX_SWEEP_ROWS = 20_000
 # The --samples cap of verify-fibration, whose time is linear in --samples:
@@ -131,7 +132,7 @@ MAX_SAMPLES = 1_000_000
 # The cap on what homology --file reads, in characters (bytes for the ASCII
 # that export-model writes); one more is read, so /dev/zero is refused at once.
 # export-model --name B --g 10000 writes 10,669,843 bytes, which homology reads
-# and ranks in about 0.8-1.1 s and 190 MiB (same host).
+# and ranks in about 0.6-0.7 s and 190 MiB (same host).
 MAX_FILE_BYTES = 32 * 2**20
 
 
@@ -392,6 +393,10 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    # nothing msym builds holds a reference cycle, so the cyclic collector is
+    # paused for the command; an in-process caller gets its setting back
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         args.func(args)
         sys.stdout.flush()
@@ -411,6 +416,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:
+        if collecting:
+            gc.enable()
         try:
             sys.stdout.flush()
         except OSError:

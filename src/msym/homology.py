@@ -1,14 +1,15 @@
 """Finite CW/chain complexes over the field with two elements.
 
-A complex stores its cells by position: per dimension a tuple of ``str``
-cell ids, whose order gives each cell its position; per cell the set of
+A complex stores its cells by position: per dimension a tuple of ``str`` cell
+ids, whose order gives each cell its position; per cell the distinct
 positions, one dimension down, of its faces with odd incidence (mod-2
-boundaries carry no signs and no multiplicities); per label the
-(dimension, position) pairs of its members.  Ids and label names are used
-as given, never converted to ``str``.  They are resolved once, on
-construction, in the pass that checks them, and read back only on output.
-The constructor checks the boundary of the boundary and the closure of
-labels on positions, so every :class:`ChainComplexF2` in circulation is a
+boundaries carry no signs and no multiplicities), a frozenset from the
+validating constructor or a tuple from :func:`product` and :func:`glue`, and
+only ever iterated; per label the (dimension, position) pairs of its members.
+Ids and label names are used as given, never converted to ``str``, resolved
+once, in the pass that checks them on construction, and read back only on
+output.  The constructor checks the boundary of the boundary and the closure
+of labels on positions, so every :class:`ChainComplexF2` in circulation is a
 valid chain complex.
 
 Betti numbers come from Gaussian elimination over GF(2) on boundary
@@ -55,12 +56,12 @@ class EulerCharacteristicMismatch(ArithmeticError):
 MAX_CELL_DIM = 64
 
 
-def _sum(faces: tuple[frozenset[int], ...], cells: Iterable[int]) -> set[int]:
+def _sum(faces: tuple[Collection[int], ...], cells: Iterable[int]) -> set[int]:
     """Boundary of a chain: the face positions met an odd number of times
     among ``faces[i]`` for i in ``cells``."""
     odd: set[int] = set()
     for i in cells:
-        odd ^= faces[i]
+        odd.symmetric_difference_update(faces[i])
     return odd
 
 
@@ -110,8 +111,8 @@ class ChainComplexF2(object):
     """Immutable finite chain complex over GF(2) with labeled subcomplexes, built
     from ``int`` dimensions and ``str`` cell ids taken as given; of several faults,
     the first in input order is reported.  Stored, and nothing derived from them:
-    ``_cells[d]``, the d-cell ids; ``_faces[d][i]``, the face positions of the
-    i-th d-cell; ``_labels``, name -> set of (dimension, position) pairs."""
+    ``_cells[d]``, the d-cell ids; ``_faces[d][i]``, the i-th d-cell's face positions,
+    a frozenset or a tuple; ``_labels``, name -> set of (dimension, position) pairs."""
 
     __slots__ = ("_cells", "_faces", "_labels")
 
@@ -395,7 +396,7 @@ def product(a: ChainComplexF2, b: ChainComplexF2) -> ChainComplexF2:
             raise ValueError(f'label "{name}" exists on both factors; rename before taking products')
     top = a.dim + b.dim if a.dim >= 0 and b.dim >= 0 else -1
     cells: list[list[str]] = [[] for _ in range(top + 1)]
-    faces: list[list[frozenset[int]]] = [[] for _ in range(top + 1)]
+    faces: list[list[tuple[int, ...]]] = [[] for _ in range(top + 1)]
     nb = [len(ys) for ys in b._cells]
     # dimension d holds blocks (da, d - da), da ascending; in block (da, db)
     # the cells i of a and j of b sit at start[da, db] + i * nb[db] + j
@@ -406,7 +407,7 @@ def product(a: ChainComplexF2, b: ChainComplexF2) -> ChainComplexF2:
             start[da, db] = len(cells[d])
             cells[d] += [f"{x}*{y}" for x in xs for y in ys]
             # faces in the blocks (da - 1, db) and (da, db - 1); 0-cells have none
-            faces[d] += [frozenset([o1 + f * nb[db] + j for f in xf] + [o2 + i * nb[db - 1] + f for f in yf])
+            faces[d] += [tuple([o1 + f * nb[db] + j for f in xf] + [o2 + i * nb[db - 1] + f for f in yf])
                          for i, xf in enumerate(xfaces) for j, yf in enumerate(yfaces)]
 
     def lift(xs: Iterable[tuple[int, int]], ys: Iterable[tuple[int, int]]) -> frozenset:
@@ -445,7 +446,7 @@ def _checked_match(
         to_a[d][i] = j
     for src in match:
         d, i = src_at[src]  # a 0-cell has no faces to map
-        if set(map(to_a[d - 1].__getitem__, b._faces[d][i])) != a._faces[d][to_a[d][i]]:
+        if set(map(to_a[d - 1].__getitem__, b._faces[d][i])) != set(a._faces[d][to_a[d][i]]):
             raise InterfaceMismatch(f'match does not commute with the boundary at cell "{src}"')
     return to_a
 
@@ -488,7 +489,7 @@ def glue(a: ChainComplexF2,
                 existing.add(new)
                 to_new[i] = len(cells[d])
                 cells[d].append(new)
-                faces[d].append(frozenset(map(below, fs[i])))
+                faces[d].append(tuple(map(below, fs[i])))
         for name, label in b._labels.items():
             if name == lb:
                 continue

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+import gc
 import hashlib
 import json
 import os
@@ -879,3 +881,69 @@ def test_full_stdout_exits_2_without_traceback(argv):
     assert [line for line in err.splitlines() if line.startswith("error:")] == [
         "error: [Errno 28] No space left on device"]
     assert "Traceback" not in err and "Exception ignored" not in err
+
+
+def _install_command(monkeypatch, command):
+    """Make ``betti-sym`` run ``command(args)``.  The cached parser holds the
+    command functions it was built with, so a fresh cache stands in for it
+    until ``monkeypatch`` puts both back."""
+    monkeypatch.setattr(cli, "_cmd_betti_sym", command)
+    monkeypatch.setattr(cli, "_parser", functools.cache(cli._parser.__wrapped__))
+
+
+def _raise(exc):
+    def command(args):
+        raise exc
+    return command
+
+
+@pytest.fixture(params=[True, False], ids=["gc-enabled", "gc-disabled"])
+def collector(request):
+    """The collector state on entry to ``main``; the state before the test
+    comes back after it."""
+    was = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was else gc.disable)()
+
+
+# one argv per exit of main, with the patch that takes it there
+EXITS = {
+    "0": (["betti-sym", "--g", "1", "--n", "2"], None),
+    "1": (["check-m", "--g", "1", "--n", "5"],
+          lambda mp: mp.setattr(mcheck, "betti_sum_large_n",
+                                lambda g, n: genfun.betti_sum_sym(g, n) - 1)),
+    "2": (["betti-sym", "--g", "-1", "--n", "2"], None),
+    "141": (["betti-sym", "--g", "1", "--n", "2"],
+            lambda mp: _install_command(mp, _raise(BrokenPipeError()))),
+}
+
+
+@pytest.mark.parametrize("code", sorted(EXITS))
+def test_main_gives_the_collector_state_back_on_every_exit_code(capsys, monkeypatch, collector, code):
+    argv, patch = EXITS[code]
+    if patch:
+        patch(monkeypatch)
+    assert run(capsys, argv)[0] == int(code)
+    assert gc.isenabled() is collector
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["no-such-command"], ["betti-sym", "--g", "x", "--n", "2"]])
+def test_argparse_exits_leave_the_collector_state_alone(capsys, collector, argv):
+    with pytest.raises(SystemExit):
+        main(argv)
+    assert gc.isenabled() is collector
+
+
+def test_an_escaping_exception_gives_the_collector_state_back(capsys, monkeypatch, collector):
+    _install_command(monkeypatch, _raise(RuntimeError("boom")))
+    with pytest.raises(RuntimeError, match="boom"):
+        main(["betti-sym", "--g", "1", "--n", "2"])
+    assert gc.isenabled() is collector
+
+
+def test_a_command_runs_with_the_collector_paused(capsys, monkeypatch, collector):
+    seen = []
+    _install_command(monkeypatch, lambda args: seen.append(gc.isenabled()))
+    assert run(capsys, ["betti-sym", "--g", "1", "--n", "2"]) == (0, "", "")
+    assert seen == [False] and gc.isenabled() is collector

@@ -16,7 +16,12 @@ After an intended change of output, regenerate the file with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and review its diff.
+and review its diff.  To run the same commands elsewhere, as a shell does,
+
+    PYTHONPATH=src python tests/test_golden.py --commands DIR
+
+fills the directory DIR as ``{tmp}`` is filled and prints one shell-quoted
+argv per entry of the file, with ``{tmp}`` replaced by DIR.
 """
 
 from __future__ import annotations
@@ -26,6 +31,8 @@ import hashlib
 import io
 import json
 import os
+import shlex
+import sys
 import tempfile
 from pathlib import Path
 
@@ -112,15 +119,19 @@ def _text(s: str):
     return {"bytes": len(data), "sha256": hashlib.sha256(data).hexdigest()}
 
 
-def transcripts(root: Path) -> list[dict]:
-    """Run every command of ``COMMANDS`` from the empty directory ``root``
-    and return its entries."""
-    tmp = root / "{tmp}"
-    tmp.mkdir()
+def _fill(tmp: Path) -> None:
+    """Write ``FILES`` and a file one byte above the size cap into ``tmp``."""
+    tmp.mkdir(parents=True, exist_ok=True)
     for name, text in FILES.items():
         (tmp / name).write_text(text)
     with open(tmp / "huge.json", "w") as fh:
         fh.truncate(cli.MAX_FILE_BYTES + 1)  # sparse, so it takes no disk space
+
+
+def transcripts(root: Path) -> list[dict]:
+    """Run every command of ``COMMANDS`` from the empty directory ``root``
+    and return its entries."""
+    _fill(root / "{tmp}")
     entries, cwd = [], os.getcwd()
     os.chdir(root)
     try:
@@ -147,7 +158,11 @@ def test_cli_output_matches_the_golden_transcripts(tmp_path):
         assert g == w, "msym " + " ".join(g["argv"])
 
 
-if __name__ == "__main__":
+if __name__ == "__main__" and sys.argv[1:2] == ["--commands"]:
+    _fill(Path(sys.argv[2]))
+    for entry in json.loads(GOLDEN.read_text()):
+        print(shlex.join(arg.replace("{tmp}", sys.argv[2]) for arg in entry["argv"]))
+elif __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         entries = transcripts(Path(tmp))
     GOLDEN.parent.mkdir(exist_ok=True)

@@ -465,6 +465,26 @@ def test_nullhomologous_rejects_non_cycles():
         is_nullhomologous(surf, 1, ["v0"])
 
 
+def test_product_and_glue_faces_are_distinct_positions_one_dimension_down():
+    models = [build_Y(g) for g in range(9)] + [build_B(g) for g in range(9)]
+    models.append(product(circle(), build_half_surface(3)))
+    for cw in models:
+        assert type(cw._faces[cw.dim][-1]) is tuple  # the last cell comes from product or glue
+        for d, faces in enumerate(cw._faces):
+            below = cw.n_cells(d - 1)
+            for fs in faces:
+                assert type(fs) in (tuple, frozenset)
+                assert len(set(fs)) == len(fs) and all(0 <= f < below for f in fs), (cw, d, fs)
+
+
+def test_nullhomologous_cycles_on_a_product():
+    tube = product(circle(), build_sym2_circle())  # its faces are tuples
+    assert is_nullhomologous(tube, 1, ["v*bd_e"])
+    assert not is_nullhomologous(tube, 1, ["v*core_e"])
+    with pytest.raises(ValueError, match=r"not a cycle; boundary is \['v\*bd_v', 'v\*core_v'\]"):
+        is_nullhomologous(tube, 1, ["v*rung"])
+
+
 def test_label_subcomplex():
     solid = build_sym3_circle()
     assert betti(label_subcomplex(solid, "torus")) == (1, 2, 1)
